@@ -416,6 +416,7 @@ void RunAdhoc(const RunOptions& opts, Report* report) {
     setups.push_back(SecondsSince(s0));
   }
   for (const RaExprPtr& q : in.warmup) (void)service->Query(q);
+  double ready_rss_mb = PeakRssMb();
 
   // The untraced closed loop; a traced run spends half its window here.
   std::vector<Answer> answers;
@@ -445,7 +446,7 @@ void RunAdhoc(const RunOptions& opts, Report* report) {
   }
 
   if (!opts.trace) {
-    report->SetEndToEnd(setups, reads, writes);
+    report->SetEndToEnd(setups, reads, writes, ready_rss_mb);
     CheckAnswers(in, *engine, answers, report);
     return;
   }

@@ -159,14 +159,15 @@ void Report::Note(const char* fmt, ...) const {
 }
 
 void Report::SetEndToEnd(const std::vector<double>& setup_s,
-                         const LatencyLog& reads, const LatencyLog& writes) {
+                         const LatencyLog& reads, const LatencyLog& writes,
+                         double ready_rss_mb) {
   Set("setup_s", Median(setup_s));
   Set("read_qps", reads.Rate());
   Set("read_p50_us", reads.P50());
   Set("read_p90_us", reads.Quantile(0.90));
   Set("write_p50_us", writes.P50());
   Set("write_p90_us", writes.Quantile(0.90));
-  Set("peak_rss_mb", PeakRssMb());
+  Set("peak_rss_mb", ready_rss_mb);
   for (auto [name, log] : {std::pair{"reads", &reads}, {"writes", &writes}}) {
     Note("%s: %zu; p95 %.1f us, p99 %.1f us", name, log->size(),
          log->Quantile(0.95), log->Quantile(0.99));

@@ -92,11 +92,12 @@ class Report {
   /// Prints an informational line (never the last line of the output).
   void Note(const char* fmt, ...) const __attribute__((format(printf, 2, 3)));
 
-  /// The end-to-end metrics from the timed window. Also samples the peak
-  /// RSS, so call it before the answer checks (their oracles are not part
-  /// of the system's footprint).
+  /// The end-to-end metrics from the timed window. `ready_rss_mb` is the
+  /// peak RSS sampled once set-up and warm-up are done: the ready system's
+  /// footprint. A later sample would also hold the transient peak of
+  /// whichever heavy query the seed put in the window.
   void SetEndToEnd(const std::vector<double>& setup_s, const LatencyLog& reads,
-                   const LatencyLog& writes);
+                   const LatencyLog& writes, double ready_rss_mb);
 
   uint64_t attempted() const { return attempted_; }
   uint64_t failed() const { return failed_; }

@@ -266,6 +266,7 @@ void RunGraphReads(const RunOptions& opts, Report* report) {
     engine = std::move(*made);
   }
   for (const RaExprPtr& q : queries) (void)engine->Execute(q);  // Warm-up.
+  double ready_rss_mb = PeakRssMb();
 
   std::vector<Answer> answers;
   LatencyLog reads, writes;
@@ -288,7 +289,7 @@ void RunGraphReads(const RunOptions& opts, Report* report) {
   }
 
   if (!opts.trace) {
-    report->SetEndToEnd(setups, reads, writes);
+    report->SetEndToEnd(setups, reads, writes, ready_rss_mb);
     engine.reset();
     CheckAnswers(queries, answers, kSharded, report);
     return;

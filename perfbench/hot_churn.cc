@@ -158,6 +158,7 @@ void RunHotChurn(const RunOptions& opts, Report* report) {
     setups.push_back(SecondsSince(s0));
   }
   for (const RaExprPtr& q : queries) (void)service->Query(q);  // Warm-up.
+  double ready_rss_mb = PeakRssMb();
   bqe::serve::ServiceStats before = service->stats();
 
   // A traced run traces the second half of the window.
@@ -235,7 +236,7 @@ void RunHotChurn(const RunOptions& opts, Report* report) {
     report->AddAttempts(c.attempted, c.failed);
   }
   report->AddAttempts(batches.size(), writes_failed);
-  if (!opts.trace) report->SetEndToEnd(setups, reads, writes);
+  if (!opts.trace) report->SetEndToEnd(setups, reads, writes, ready_rss_mb);
 
   // The writer has quiesced: every working-set answer must equal a freshly
   // prepared plan's. The same executions are the traced run's fixed set.
