@@ -24,7 +24,7 @@ constexpr MetricDef kEndToEnd[] = {
     {"setup_s", "s"},          {"read_qps", "1/s"},
     {"read_p50_us", "us"},     {"read_p90_us", "us"},
     {"write_p50_us", "us"},    {"write_p90_us", "us"},
-    {"ok_ratio", "ratio"},     {"peak_rss_mb", "MB"},
+    {"peak_rss_mb", "MB"},
 };
 
 // Printed by a traced run. A workload that does not engage a layer leaves
@@ -96,9 +96,8 @@ double LatencyLog::Mean() const {
   return samples_.empty() ? 0 : sum / static_cast<double>(samples_.size());
 }
 
-std::vector<size_t> LatencyLog::Slices(double* slice_s) const {
-  std::vector<size_t> out;
-  *slice_s = 0;
+std::vector<LatencyLog::Slice> LatencyLog::Slices() const {
+  std::vector<Slice> out;
   if (samples_.size() < 2) return out;
   Clock::time_point first = samples_.front().end, last = first;
   for (const Sample& x : samples_) {
@@ -107,12 +106,14 @@ std::vector<size_t> LatencyLog::Slices(double* slice_s) const {
   }
   double span = std::chrono::duration<double>(last - first).count();
   size_t n = std::max<size_t>(5, static_cast<size_t>(span + 0.5));
-  *slice_s = span / static_cast<double>(n);
-  if (*slice_s <= 0) return out;
+  double slice_s = span / static_cast<double>(n);
+  if (slice_s <= 0) return out;
   out.resize(n);
   for (const Sample& x : samples_) {
     double t = std::chrono::duration<double>(x.end - first).count();
-    ++out[std::min(n - 1, static_cast<size_t>(t / *slice_s))];
+    Slice& s = out[std::min(n - 1, static_cast<size_t>(t / slice_s))];
+    ++s.count;
+    s.busy_us += x.us;
   }
   return out;
 }
@@ -126,11 +127,12 @@ double LatencyLog::Quantile(double q) const {
 
 double LatencyLog::P50() const { return Quantile(0.5); }
 
-double LatencyLog::Rate() const {
-  double slice_s = 0;
+double LatencyLog::Rate(int clients) const {
   std::vector<double> rates;
-  for (size_t count : Slices(&slice_s)) {
-    rates.push_back(static_cast<double>(count) / slice_s);
+  for (const Slice& s : Slices()) {
+    if (s.busy_us > 0) {
+      rates.push_back(static_cast<double>(s.count) * clients * 1e6 / s.busy_us);
+    }
   }
   return Median(std::move(rates));
 }
@@ -159,10 +161,10 @@ void Report::Note(const char* fmt, ...) const {
 }
 
 void Report::SetEndToEnd(const std::vector<double>& setup_s,
-                         const LatencyLog& reads, const LatencyLog& writes,
-                         double ready_rss_mb) {
-  Set("setup_s", Median(setup_s));
-  Set("read_qps", reads.Rate());
+                         const LatencyLog& reads, int clients,
+                         const LatencyLog& writes, double ready_rss_mb) {
+  Set("setup_s", Quantile(setup_s, 0.25));
+  Set("read_qps", reads.Rate(clients));
   Set("read_p50_us", reads.P50());
   Set("read_p90_us", reads.Quantile(0.90));
   Set("write_p50_us", writes.P50());
@@ -172,16 +174,12 @@ void Report::SetEndToEnd(const std::vector<double>& setup_s,
     Note("%s: %zu; p95 %.1f us, p99 %.1f us", name, log->size(),
          log->Quantile(0.95), log->Quantile(0.99));
   }
-  Note("setup_s: median of %zu set-ups", setup_s.size());
+  Note("setup_s: lower quartile of %zu set-ups (min %.4f s, median %.4f s)",
+       setup_s.size(), Quantile(setup_s, 0), Median(setup_s));
 }
 
 void Report::PrintJson(bool trace) const {
   std::map<std::string, double> v = values_;
-  if (!trace) {
-    v["ok_ratio"] = attempted_ > 0 ? 1.0 - static_cast<double>(failed_) /
-                                               static_cast<double>(attempted_)
-                                   : 0.0;
-  }
   std::string out = "{\"correct\": ";
   out += correct_ ? "true" : "false";
   out += ", \"attempted\": " + std::to_string(attempted_);
@@ -375,7 +373,7 @@ namespace {
 
 void Usage() {
   std::fprintf(stderr,
-               "usage: perfbench --workload adhoc|hot_churn|fanout|sharded "
+               "usage: perfbench --workload adhoc|hot_churn|fanout "
                "--seed N --seconds S --trace 0|1 [--trace-file PATH]\n");
 }
 
@@ -414,8 +412,6 @@ int main(int argc, char** argv) {
     perfbench::RunHotChurn(opts, &report);
   } else if (opts.workload == "fanout") {
     perfbench::RunFanout(opts, &report);
-  } else if (opts.workload == "sharded") {
-    perfbench::RunSharded(opts, &report);
   } else {
     Usage();
     return 2;

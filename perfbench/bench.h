@@ -54,8 +54,11 @@ class LatencyLog {
   size_t size() const { return samples_.size(); }
   double Mean() const;
   double P50() const;
-  /// Median over slices of each slice's completions per second.
-  double Rate() const;
+  /// Median over slices of each slice's completions per second of the
+  /// clients' time spent in these operations: count / (summed latency /
+  /// clients). A closed loop that also writes thus reports its reads per
+  /// second of read time, which write time does not dilute.
+  double Rate(int clients) const;
   double Quantile(double q) const;
   void Reserve(size_t n) { samples_.reserve(n); }
 
@@ -64,9 +67,13 @@ class LatencyLog {
     Clock::time_point end;
     double us;
   };
+  struct Slice {
+    size_t count = 0;
+    double busy_us = 0;  ///< Summed latency of the slice's samples.
+  };
   /// Splits the run into at least 5 slices of about a second each by
-  /// completion time; returns each slice's sample count.
-  std::vector<size_t> Slices(double* slice_s) const;
+  /// completion time.
+  std::vector<Slice> Slices() const;
 
   std::vector<Sample> samples_;
 };
@@ -76,14 +83,16 @@ class LatencyLog {
 /// bench.cc, so every traced run prints the same set.
 class Report {
  public:
-  /// One operation attempted; `ok` false counts it as failed.
-  void Attempt(bool ok) {
+  /// One operation attempted. At the baseline no operation fails, so a
+  /// failed or refused one is a defect: it counts as failed and marks the
+  /// run incorrect, as a wrong answer does.
+  void Attempt(bool ok, const char* what) {
     ++attempted_;
-    if (!ok) ++failed_;
+    if (!ok) Wrong(std::string(what) + " failed");
   }
-  void AddAttempts(uint64_t attempted, uint64_t failed) {
+  void AddAttempts(uint64_t attempted, uint64_t failed, const char* what) {
     attempted_ += attempted;
-    failed_ += failed;
+    for (uint64_t i = 0; i < failed; ++i) Wrong(std::string(what) + " failed");
   }
   /// A previously counted operation turned out wrong (failed answer check
   /// or bound violation): counts as failed and marks the run incorrect.
@@ -92,12 +101,15 @@ class Report {
   /// Prints an informational line (never the last line of the output).
   void Note(const char* fmt, ...) const __attribute__((format(printf, 2, 3)));
 
-  /// The end-to-end metrics from the timed window. `ready_rss_mb` is the
+  /// The end-to-end metrics from the timed window. `setup_s` holds every
+  /// set-up of the run; the lower quartile is reported, which a slow phase
+  /// of the host covering fewer than three quarters of them cannot raise.
+  /// `clients` is the number of closed-loop readers. `ready_rss_mb` is the
   /// peak RSS sampled once set-up and warm-up are done: the ready system's
   /// footprint. A later sample would also hold the transient peak of
   /// whichever heavy query the seed put in the window.
   void SetEndToEnd(const std::vector<double>& setup_s, const LatencyLog& reads,
-                   const LatencyLog& writes, double ready_rss_mb);
+                   int clients, const LatencyLog& writes, double ready_rss_mb);
 
   uint64_t attempted() const { return attempted_; }
   uint64_t failed() const { return failed_; }
@@ -215,7 +227,6 @@ double PeakRssMb();
 void RunAdhoc(const RunOptions& opts, Report* report);
 void RunHotChurn(const RunOptions& opts, Report* report);
 void RunFanout(const RunOptions& opts, Report* report);
-void RunSharded(const RunOptions& opts, Report* report);
 
 }  // namespace perfbench
 

@@ -1,13 +1,12 @@
-// fanout and sharded: one closed-loop client repeats Example-1 Q1 over wide
-// friend buckets. fanout calls BoundedEngine::Execute (plan-cache hits, no
-// result cache), so the executor's operators do the work; sharded sends the
-// same data and query stream through a 2-shard cluster::ShardedEngine.
+// fanout: one closed-loop client repeats Example-1 Q1 over wide friend
+// buckets through BoundedEngine::Execute (plan-cache hits, no result cache),
+// so the executor's operators do the work. A traced run ends with a cluster
+// leg that sends the same queries through a 2-shard cluster::ShardedEngine.
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "bench.h"
@@ -24,17 +23,26 @@ namespace {
 using bqe::RaExprPtr;
 using bqe::cluster::ShardedEngine;
 
-constexpr int kSetups = 5;
+constexpr int kSetups = 9;
 constexpr size_t kExecThreads = 2;
 constexpr size_t kShards = 2;
-/// Closed loop: one write batch after every kReadsPerWrite reads.
-constexpr size_t kReadsPerWrite = 2;
-constexpr size_t kStreamLength = 1 << 16;
+/// Closed loop: one write batch after every kReadsPerWrite reads. Writes
+/// exist so that the write metrics do; perfbench/METRICS.md says why this
+/// ratio.
+constexpr size_t kReadsPerWrite = 10;
+constexpr size_t kStreamLength = 1 << 18;
+/// The requests ask about the first kQueriedPids people, so every
+/// fingerprint stays in the plan cache (256).
+constexpr int kQueriedPids = 200;
 
+/// 30 friends per person: with 100, each read built about 23k
+/// intermediate rows, and its tail latency followed the host's memory
+/// contention more (perfbench/METRICS.md). The people no request asks
+/// about bring |D| to about 80k tuples.
 bqe::workload::GraphChurnConfig Config() {
   bqe::workload::GraphChurnConfig cfg;
-  cfg.pids = 200;
-  cfg.friends_per_pid = 100;
+  cfg.pids = 670;
+  cfg.friends_per_pid = 30;
   cfg.cafes = 200;
   return cfg;
 }
@@ -52,28 +60,6 @@ bqe::cluster::ShardedOptions ShardedOpts() {
   o.engine.exec_threads = 1;
   o.fallback_replica = false;  // Every query in the stream is covered.
   return o;
-}
-
-template <typename E>
-bqe::Result<std::unique_ptr<E>> Make(const bqe::workload::GraphChurnFixture& fx,
-                                     bqe::Database* db) {
-  if constexpr (std::is_same_v<E, ShardedEngine>) {
-    (void)db;
-    return ShardedEngine::Create(fx.db, fx.schema, ShardedOpts());
-  } else {
-    auto e = std::make_unique<bqe::BoundedEngine>(db, fx.schema, EngineOpts());
-    BQE_RETURN_IF_ERROR(e->BuildIndices());
-    return e;
-  }
-}
-
-size_t IndexFootprint(const bqe::BoundedEngine& e) { return e.IndexFootprint(); }
-size_t IndexFootprint(const ShardedEngine& e) {
-  size_t n = 0;
-  for (size_t s = 0; s < e.num_shards(); ++s) {
-    n += e.shard_engine(s).IndexFootprint();
-  }
-  return n;
 }
 
 /// GraphChurnMixedBatch aimed at a person no query of the stream asks
@@ -104,11 +90,9 @@ struct Answer {
 };
 
 /// Every answer must equal, row for row, the row interpreter's answer on a
-/// freshly generated copy of the data; sharded answers must also equal the
-/// single engine's.
+/// freshly generated copy of the data.
 void CheckAnswers(const std::vector<RaExprPtr>& queries,
-                  const std::vector<Answer>& answers, bool sharded,
-                  Report* report) {
+                  const std::vector<Answer>& answers, Report* report) {
   Clock::time_point t0 = Clock::now();
   bqe::workload::GraphChurnFixture fx =
       bqe::workload::MakeGraphChurnFixture(Config());
@@ -117,71 +101,52 @@ void CheckAnswers(const std::vector<RaExprPtr>& queries,
     report->Wrong("oracle engine does not build");
     return;
   }
-  std::vector<bqe::Table> row(queries.size()), single(queries.size());
+  std::vector<bqe::Table> row(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     bqe::Result<std::shared_ptr<const bqe::PreparedQuery>> pq =
         oracle.PrepareCompiled(queries[i]);
     bqe::Result<bqe::Table> r =
         pq.ok() ? bqe::ExecutePlanRowAtATime((*pq)->info.plan, oracle.indices())
                 : bqe::Result<bqe::Table>(pq.status());
-    bqe::Result<bqe::ExecuteResult> s = oracle.Execute(queries[i]);
-    if (!r.ok() || !s.ok()) {
+    if (!r.ok()) {
       report->Wrong("oracle fails on pid " + std::to_string(i));
       return;
     }
     row[i] = std::move(*r);
-    single[i] = std::move(s->table);
   }
   for (const Answer& a : answers) {
-    std::string where = "pid " + std::to_string(a.pid);
     if (!RowForRow(a.table, row[a.pid])) {
-      report->Wrong(where + ": differs from the row interpreter");
-    } else if (sharded && !RowForRow(a.table, single[a.pid])) {
-      report->Wrong(where + ": differs from the single engine");
+      report->Wrong("pid " + std::to_string(a.pid) +
+                    ": differs from the row interpreter");
     }
   }
-  report->Note("checked %zu answers row for row%s, %.1f s", answers.size(),
-               sharded ? " (row interpreter and single engine)" : "",
+  report->Note("checked %zu answers row for row, %.1f s", answers.size(),
                SecondsSince(t0));
 }
 
-/// One traced request: fingerprint, cached preparation, execution.
-template <typename E>
-bool TracedRequest(const E& engine, const RaExprPtr& q, uint64_t req,
-                   Tracer* tr, bqe::ExecStats* st, double* bound,
-                   bqe::Table* answer) {
+/// The traced front of one request: fingerprint, then cached preparation.
+/// Returns the prepared query when it is covered; sets `bound` to its
+/// plan's static access bound.
+template <typename Engine>
+std::shared_ptr<const bqe::PreparedQuery> TracedPrepare(const Engine& engine,
+                                                        const RaExprPtr& q,
+                                                        uint64_t req,
+                                                        Tracer* tr,
+                                                        double* bound) {
   { Span s(tr, "core.fingerprint", req); (void)bqe::BoundedEngine::QueryFingerprint(q); }
   tr->Begin("core.prepare", req);
   bqe::Result<std::shared_ptr<const bqe::PreparedQuery>> pq =
       engine.PrepareCompiled(q);
   tr->End();
-  if (!pq.ok() || !(*pq)->info.covered) return false;
+  if (!pq.ok() || !(*pq)->info.covered) return nullptr;
   *bound = (*pq)->info.plan.StaticAccessBound();
-  if constexpr (std::is_same_v<E, ShardedEngine>) {
-    tr->Begin("cluster.execute", req);
-    bqe::Result<bqe::ExecuteResult> r = engine.ExecutePrepared(**pq);
-    tr->End();
-    if (!r.ok()) return false;
-    *st = r->bounded_stats;
-    *answer = std::move(r->table);
-  } else {
-    bqe::ExecOptions eo;
-    eo.per_op_timing = true;
-    eo.num_threads = kExecThreads;
-    eo.row_path_threshold = bqe::EngineOptions{}.row_path_threshold;
-    tr->Begin("exec.execute", req);
-    bqe::Result<bqe::Table> t = bqe::ExecutePhysicalPlan(*(*pq)->physical, st, eo);
-    tr->End();
-    if (!t.ok()) return false;
-    *answer = std::move(*t);
-  }
-  return true;
+  return *pq;
 }
 
-/// The cluster leg of a traced run: the fixed set (one pass over every pid)
+/// The cluster leg of a traced run: the fixed set (one pass over the queries)
 /// through a freshly created 2-shard ShardedEngine, each answer checked row
-/// for row against `single`, the run's own fixed-set answers. It measures
-/// the cluster layer on every traced run, fanout's included.
+/// for row against `single`, the run's own fixed-set answers. It is where
+/// the benchmark measures the cluster layer.
 void ClusterLeg(const bqe::workload::GraphChurnFixture& fx,
                 const std::vector<RaExprPtr>& queries,
                 const std::vector<bqe::Table>& single, Tracer* tr,
@@ -201,14 +166,18 @@ void ClusterLeg(const bqe::workload::GraphChurnFixture& fx,
     tasks[s] = cluster.shard_stats(s).scatter_tasks;
   }
   for (size_t i = 0; i < queries.size(); ++i) {
-    bqe::ExecStats st;
     double bound = 0;
-    bqe::Table table;
     tr->Begin("request", i);
-    bool ok = TracedRequest(cluster, queries[i], i, tr, &st, &bound, &table);
+    std::shared_ptr<const bqe::PreparedQuery> pq =
+        TracedPrepare(cluster, queries[i], i, tr, &bound);
+    bqe::Result<bqe::ExecuteResult> r = bqe::Status::Internal("not covered");
+    if (pq != nullptr) {
+      Span s(tr, "cluster.execute", i);
+      r = cluster.ExecutePrepared(*pq);
+    }
     tr->End();
-    report->Attempt(ok);
-    if (ok && !RowForRow(table, single[i])) {
+    report->Attempt(r.ok(), "cluster-leg read");
+    if (r.ok() && !RowForRow(r->table, single[i])) {
       report->Wrong("pid " + std::to_string(i) +
                     ": cluster answer differs from the single engine");
     }
@@ -227,14 +196,14 @@ void ClusterLeg(const bqe::workload::GraphChurnFixture& fx,
   report->Set("cluster.shard_skew", Ratio(hi, lo));
 }
 
-template <typename E>
-void RunGraphReads(const RunOptions& opts, Report* report) {
-  constexpr bool kSharded = std::is_same_v<E, ShardedEngine>;
+}  // namespace
+
+void RunFanout(const RunOptions& opts, Report* report) {
   bqe::workload::GraphChurnConfig cfg = Config();
   bqe::workload::GraphChurnFixture fx = bqe::workload::MakeGraphChurnFixture(cfg);
   size_t db_tuples = fx.db.TotalTuples();
   std::vector<RaExprPtr> queries;
-  for (int p = 0; p < cfg.pids; ++p) {
+  for (int p = 0; p < kQueriedPids; ++p) {
     queries.push_back(bqe::workload::FriendsNycCafesQuery(cfg.Pid(p)));
   }
   bqe::Rng rng(opts.seed * 0x9E3779B97F4A7C15ull + 7);
@@ -245,25 +214,24 @@ void RunGraphReads(const RunOptions& opts, Report* report) {
     batches[b] = WriteBatch(cfg, static_cast<int>(b));
   }
   report->Note(
-      "%s: |D|=%zu tuples, %zu constraints, %d pids x %d friends, 1 "
-      "closed-loop client (a write after every %zu reads), %s",
-      kSharded ? "sharded" : "fanout", db_tuples, fx.schema.size(), cfg.pids,
-      cfg.friends_per_pid, kReadsPerWrite,
-      kSharded ? "2 shards, scatter threads <= shards, shard exec_threads=1"
-               : "engine exec_threads=2");
+      "fanout: |D|=%zu tuples, %zu constraints, %d pids x %d friends, %d "
+      "of them queried; 1 closed-loop client (a write after every %zu "
+      "reads), engine exec_threads=%zu",
+      db_tuples, fx.schema.size(), cfg.pids, cfg.friends_per_pid,
+      kQueriedPids, kReadsPerWrite, kExecThreads);
 
-  std::unique_ptr<E> engine;
+  std::unique_ptr<bqe::BoundedEngine> engine;
   std::vector<double> setups;
   for (int i = 0; i < kSetups; ++i) {
     engine.reset();
     Clock::time_point s0 = Clock::now();
-    bqe::Result<std::unique_ptr<E>> made = Make<E>(fx, &fx.db);
+    engine = std::make_unique<bqe::BoundedEngine>(&fx.db, fx.schema, EngineOpts());
+    bqe::Status st = engine->BuildIndices();
     setups.push_back(SecondsSince(s0));
-    if (!made.ok()) {
-      std::fprintf(stderr, "setup: %s\n", made.status().ToString().c_str());
+    if (!st.ok()) {
+      std::fprintf(stderr, "BuildIndices: %s\n", st.ToString().c_str());
       return;
     }
-    engine = std::move(*made);
   }
   for (const RaExprPtr& q : queries) (void)engine->Execute(q);  // Warm-up.
   double ready_rss_mb = PeakRssMb();
@@ -278,61 +246,68 @@ void RunGraphReads(const RunOptions& opts, Report* report) {
     Clock::time_point r0 = Clock::now();
     bqe::Result<bqe::ExecuteResult> r = engine->Execute(queries[pid]);
     reads.Add(MicrosBetween(r0, Clock::now()));
-    report->Attempt(r.ok());
+    report->Attempt(r.ok(), "fanout read");
     if (r.ok()) answers.push_back(Answer{pid, std::move(r->table)});
     if (next % kReadsPerWrite == 0) {
       Clock::time_point a0 = Clock::now();
       bool ok = engine->Apply(batches[next / kReadsPerWrite - 1]).ok();
       writes.Add(MicrosBetween(a0, Clock::now()));
-      report->Attempt(ok);
+      report->Attempt(ok, "fanout write");
     }
   }
 
   if (!opts.trace) {
-    report->SetEndToEnd(setups, reads, writes, ready_rss_mb);
+    report->SetEndToEnd(setups, reads, 1, writes, ready_rss_mb);
     engine.reset();
-    CheckAnswers(queries, answers, kSharded, report);
+    CheckAnswers(queries, answers, report);
     return;
   }
 
-  // Traced half. The fixed set is one pass over every pid in order; its
+  // Traced half. The fixed set is one pass over the queries in order; its
   // access counts are exact for a given build.
   Tracer tr;
   ExecAccount acct(db_tuples);
   LatencyLog traced;
   std::vector<bqe::Table> fixed_answers;
   size_t fixed = queries.size();
+  bqe::ExecOptions eo;
+  eo.per_op_timing = true;
+  eo.num_threads = kExecThreads;
+  eo.row_path_threshold = bqe::EngineOptions{}.row_path_threshold;
   Clock::time_point w1 = Clock::now();
   for (size_t i = 0; i < fixed || SecondsSince(w1) < window; ++i) {
     size_t pid = i < fixed ? i : stream[next++ % stream.size()];
     bqe::ExecStats st;
     double bound = 0;
-    bqe::Table table;
     tr.Begin("request", i);
-    bool ok = TracedRequest(*engine, queries[pid], i, &tr, &st, &bound, &table);
+    std::shared_ptr<const bqe::PreparedQuery> pq =
+        TracedPrepare(*engine, queries[pid], i, &tr, &bound);
+    bqe::Result<bqe::Table> t = bqe::Status::Internal("not covered");
+    if (pq != nullptr) {
+      Span s(&tr, "exec.execute", i);
+      t = bqe::ExecutePhysicalPlan(*pq->physical, &st, eo);
+    }
     traced.Add(tr.End());
-    report->Attempt(ok);
-    if (!ok) continue;
+    report->Attempt(t.ok(), "fanout traced request");
+    if (!t.ok()) continue;
     if (i < fixed) {
-      fixed_answers.push_back(table);
+      fixed_answers.push_back(*t);
       if (!acct.Add(st, bound)) {
         report->Wrong("pid " + std::to_string(pid) +
                       " fetched more than its static bound");
       }
     }
-    answers.push_back(Answer{pid, std::move(table)});
+    answers.push_back(Answer{pid, std::move(*t)});
   }
   uint64_t n = traced.size();
   report->Set("core.fingerprint_us", tr.PerRequestUs("core.fingerprint", n));
-  if constexpr (!kSharded) {
-    report->Set("exec.execute_us", tr.PerRequestUs("exec.execute", n));
-    report->Set("constraints.build_s", Median(setups));
-  }
+  report->Set("exec.execute_us", tr.PerRequestUs("exec.execute", n));
+  report->Set("constraints.build_s", Quantile(setups, 0.25));
   acct.Fill(report);
   bqe::PlanCacheStats pc = engine->plan_cache_stats();
   report->Set("core.plan_cache_hit_ratio", Ratio(pc.hits, pc.hits + pc.misses));
   report->Set("constraints.entries_per_tuple",
-              Ratio(IndexFootprint(*engine), db_tuples));
+              Ratio(engine->IndexFootprint(), db_tuples));
   report->Set("trace.overhead_us", traced.P50() - reads.P50());
   if (fixed_answers.size() == fixed) {
     Tracer leg;
@@ -341,17 +316,7 @@ void RunGraphReads(const RunOptions& opts, Report* report) {
   }
   WriteTrace(opts, tr, n, report);
   engine.reset();
-  CheckAnswers(queries, answers, kSharded, report);
-}
-
-}  // namespace
-
-void RunFanout(const RunOptions& opts, Report* report) {
-  RunGraphReads<bqe::BoundedEngine>(opts, report);
-}
-
-void RunSharded(const RunOptions& opts, Report* report) {
-  RunGraphReads<ShardedEngine>(opts, report);
+  CheckAnswers(queries, answers, report);
 }
 
 }  // namespace perfbench

@@ -3,7 +3,7 @@
 
     python3 perfbench/run.py --workload adhoc --seed 1 --seconds 10 --trace 0
 
-Workloads: adhoc, hot_churn, fanout, sharded. The library and the program
+Workloads: adhoc, hot_churn, fanout. The library and the program
 are built from source on first use (CMake, Release) under the directory
 named by $CARGO_TARGET_DIR, default .bench_build, relative to the checkout
 root. The last line of standard output is one JSON object with the keys
@@ -22,7 +22,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("adhoc", "hot_churn", "fanout", "sharded")
+WORKLOADS = ("adhoc", "hot_churn", "fanout")
 RUN_TIMEOUT_S = 170
 
 
