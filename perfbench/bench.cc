@@ -1,5 +1,6 @@
 #include "bench.h"
 
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -9,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 
 namespace perfbench {
 
@@ -90,6 +93,91 @@ double Quantile(std::vector<double> v, double q) {
 
 double Median(std::vector<double> v) { return Quantile(std::move(v), 0.5); }
 
+void HostSpeed::MaybeProbe() {
+  if (probes_.empty() ||
+      Clock::now() - probes_.back().at >= std::chrono::milliseconds(100)) {
+    Probe();
+  }
+}
+
+void HostSpeed::ProbeBurst() {
+  for (int i = 0; i < 5; ++i) Probe();
+}
+
+void HostSpeed::Probe() {
+  // Hash-map inserts, a copy and a sort over a few hundred KiB: the mix of
+  // allocation, hashing and branchy compares the planner and executor do.
+  static volatile uint64_t sink = 0;
+  double best = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    Clock::time_point t0 = Clock::now();
+    std::unordered_map<uint64_t, uint64_t> m;
+    uint64_t x = 88172645463325252ull;
+    for (uint64_t i = 0; i < 4000; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      m[x & 0xfffff] += i;
+    }
+    std::vector<uint64_t> keys;
+    keys.reserve(m.size());
+    for (const auto& [k, v] : m) keys.push_back(k ^ (v << 20));
+    std::sort(keys.begin(), keys.end());
+    sink = sink + keys[keys.size() / 2];
+    double us = MicrosBetween(t0, Clock::now());
+    // The least of three: a timer interrupt or a preemption inside one
+    // repetition is not a slow host.
+    best = rep == 0 ? us : std::min(best, us);
+  }
+  probes_.push_back(Sample{Clock::now(), best});
+}
+
+double HostSpeed::Scale(Clock::time_point a, Clock::time_point b) const {
+  if (probes_.empty()) return 1.0;
+  const auto window = std::chrono::milliseconds(500);
+  auto lo = std::lower_bound(
+      probes_.begin(), probes_.end(), a - window,
+      [](const Sample& s, Clock::time_point t) { return s.at < t; });
+  auto hi = std::upper_bound(
+      probes_.begin(), probes_.end(), b + window,
+      [](Clock::time_point t, const Sample& s) { return t < s.at; });
+  std::vector<double> near;
+  for (auto it = lo; it != hi; ++it) near.push_back(it->us);
+  if (near.empty()) {
+    // No probe within the window: the nearest one.
+    auto it = lo == probes_.end() ? lo - 1 : lo;
+    if (it != probes_.begin() && a - (it - 1)->at < it->at - a) --it;
+    near.push_back(it->us);
+  }
+  return kReferenceProbeUs / Median(std::move(near));
+}
+
+double HostSpeed::MedianProbeUs() const {
+  std::vector<double> us;
+  for (const Sample& s : probes_) us.push_back(s.us);
+  return Median(std::move(us));
+}
+
+LatencyLog LatencyLog::Rescaled(const HostSpeed& speed) const {
+  LatencyLog out;
+  if (samples_.empty()) return out;
+  // Scale factors on a 50 ms grid over the run: one Scale() per sample
+  // would cost seconds on a million reads.
+  Clock::time_point first = samples_.front().end;
+  for (const Sample& x : samples_) first = std::min(first, x.end);
+  const auto step = std::chrono::milliseconds(50);
+  std::vector<double> grid;
+  out.samples_.reserve(samples_.size());
+  for (const Sample& x : samples_) {
+    size_t g = static_cast<size_t>((x.end - first) / step);
+    while (grid.size() <= g) {
+      grid.push_back(speed.Scale(first + step * grid.size() + step / 2));
+    }
+    out.samples_.push_back(Sample{x.end, x.us * grid[g]});
+  }
+  return out;
+}
+
 double LatencyLog::Mean() const {
   double sum = 0;
   for (const Sample& x : samples_) sum += x.us;
@@ -162,19 +250,27 @@ void Report::Note(const char* fmt, ...) const {
 
 void Report::SetEndToEnd(const std::vector<double>& setup_s,
                          const LatencyLog& reads, int clients,
-                         const LatencyLog& writes, double ready_rss_mb) {
+                         const LatencyLog& writes, double ready_rss_mb,
+                         const HostSpeed& speed) {
+  LatencyLog r = reads.Rescaled(speed), w = writes.Rescaled(speed);
   Set("setup_s", Quantile(setup_s, 0.25));
-  Set("read_qps", reads.Rate(clients));
-  Set("read_p50_us", reads.P50());
-  Set("read_p90_us", reads.Quantile(0.90));
-  Set("write_p50_us", writes.P50());
-  Set("write_p90_us", writes.Quantile(0.90));
+  Set("read_qps", r.Rate(clients));
+  Set("read_p50_us", r.P50());
+  Set("read_p90_us", r.Quantile(0.90));
+  Set("write_p50_us", w.P50());
+  Set("write_p90_us", w.Quantile(0.90));
   Set("peak_rss_mb", ready_rss_mb);
-  for (auto [name, log] : {std::pair{"reads", &reads}, {"writes", &writes}}) {
-    Note("%s: %zu; p95 %.1f us, p99 %.1f us", name, log->size(),
-         log->Quantile(0.95), log->Quantile(0.99));
+  Note("host: %zu probes, median %.1f us against the reference %.0f us",
+       speed.probes(), speed.MedianProbeUs(), HostSpeed::kReferenceProbeUs);
+  for (auto [name, raw, log] :
+       {std::tuple{"reads", &reads, &r}, {"writes", &writes, &w}}) {
+    Note("%s: %zu; rescaled p95 %.1f us, p99 %.1f us; as measured p50 "
+         "%.1f us, p90 %.1f us",
+         name, log->size(), log->Quantile(0.95), log->Quantile(0.99),
+         raw->P50(), raw->Quantile(0.90));
   }
-  Note("setup_s: lower quartile of %zu set-ups (min %.4f s, median %.4f s)",
+  Note("setup_s: lower quartile of %zu rescaled set-ups (min %.4f s, "
+       "median %.4f s)",
        setup_s.size(), Quantile(setup_s, 0), Median(setup_s));
 }
 
@@ -358,6 +454,15 @@ bool SameBag(const bqe::Table& a, const bqe::Table& b) {
   std::sort(x.begin(), x.end());
   std::sort(y.begin(), y.end());
   return x == y;
+}
+
+bool PinToCurrentCpu() {
+  int cpu = sched_getcpu();
+  if (cpu < 0) return false;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  return sched_setaffinity(0, sizeof(set), &set) == 0;
 }
 
 double PeakRssMb() {

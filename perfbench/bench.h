@@ -41,6 +41,45 @@ double Quantile(std::vector<double> v, double q);
 /// Median of `v` (0 when empty).
 double Median(std::vector<double> v);
 
+/// The host's speed over a run. The reference host's cores slow down, at
+/// times to less than half speed, for seconds to minutes whatever the
+/// benchmark does, so every reported time is rescaled to one reference
+/// speed: a fixed CPU and allocator kernel (the probe), which never touches
+/// the program under test, is timed every ~100 ms of the run, and a time
+/// measured at t is multiplied by kReferenceProbeUs / (median probe time
+/// within 0.5 s of t). A change in the program moves the rescaled times in
+/// full; a slow phase of the host moves the probe as well and cancels out.
+class HostSpeed {
+ public:
+  /// Probe time, in microseconds, that defines the reference speed (about
+  /// the probe on an unloaded core of the 4-core reference host).
+  static constexpr double kReferenceProbeUs = 500;
+
+  /// Probes when at least 100 ms have passed since the last probe. Only
+  /// one thread may probe.
+  void MaybeProbe();
+  /// Five probes back to back, for the edges of a span of program work
+  /// that cannot be interrupted (a set-up).
+  void ProbeBurst();
+  /// Factor that rescales a time measured over [a, b] to the reference
+  /// speed: kReferenceProbeUs / the median probe within 0.5 s of it (1
+  /// when there is no probe).
+  double Scale(Clock::time_point a, Clock::time_point b) const;
+  double Scale(Clock::time_point t) const { return Scale(t, t); }
+  size_t probes() const { return probes_.size(); }
+  /// Median probe time over the run, in microseconds.
+  double MedianProbeUs() const;
+
+ private:
+  void Probe();
+
+  struct Sample {
+    Clock::time_point at;
+    double us;
+  };
+  std::vector<Sample> probes_;  ///< In time order.
+};
+
 /// Read or write latencies of one run, in microseconds, each stamped with
 /// its completion time. The host's speed drifts on a scale of seconds, so
 /// the rate is a median over ~1-second slices of the run rather than one
@@ -61,6 +100,8 @@ class LatencyLog {
   double Rate(int clients) const;
   double Quantile(double q) const;
   void Reserve(size_t n) { samples_.reserve(n); }
+  /// This log with every latency rescaled to the reference speed.
+  LatencyLog Rescaled(const HostSpeed& speed) const;
 
  private:
   struct Sample {
@@ -101,15 +142,17 @@ class Report {
   /// Prints an informational line (never the last line of the output).
   void Note(const char* fmt, ...) const __attribute__((format(printf, 2, 3)));
 
-  /// The end-to-end metrics from the timed window. `setup_s` holds every
-  /// set-up of the run; the lower quartile is reported, which a slow phase
-  /// of the host covering fewer than three quarters of them cannot raise.
+  /// The end-to-end metrics from the timed window, every time rescaled to
+  /// the reference speed of `speed`. `setup_s` holds every set-up of the
+  /// run, already rescaled (see SetupTimer); their lower quartile is
+  /// reported, which one slow set-up cannot raise.
   /// `clients` is the number of closed-loop readers. `ready_rss_mb` is the
   /// peak RSS sampled once set-up and warm-up are done: the ready system's
   /// footprint. A later sample would also hold the transient peak of
   /// whichever heavy query the seed put in the window.
   void SetEndToEnd(const std::vector<double>& setup_s, const LatencyLog& reads,
-                   int clients, const LatencyLog& writes, double ready_rss_mb);
+                   int clients, const LatencyLog& writes, double ready_rss_mb,
+                   const HostSpeed& speed);
 
   uint64_t attempted() const { return attempted_; }
   uint64_t failed() const { return failed_; }
@@ -174,6 +217,31 @@ class Tracer {
   uint64_t dropped_ = 0;
 };
 
+/// Times one set-up: probes the host right before and right after it
+/// (the set-up itself cannot be interrupted to probe) and keeps both the
+/// measured seconds and the seconds at the reference speed.
+class SetupTimer {
+ public:
+  explicit SetupTimer(HostSpeed* speed) : speed_(speed) {
+    speed_->ProbeBurst();
+    start_ = Clock::now();
+  }
+  /// Ends the set-up; returns its measured seconds.
+  double Stop() {
+    Clock::time_point end = Clock::now();
+    speed_->ProbeBurst();
+    seconds_ = std::chrono::duration<double>(end - start_).count();
+    rescaled_ = seconds_ * speed_->Scale(start_, end);
+    return seconds_;
+  }
+  double rescaled() const { return rescaled_; }
+
+ private:
+  HostSpeed* speed_;
+  Clock::time_point start_;
+  double seconds_ = 0, rescaled_ = 0;
+};
+
 /// RAII span.
 class Span {
  public:
@@ -218,6 +286,10 @@ void WriteTrace(const RunOptions& opts, const Tracer& tr, uint64_t requests,
 bool RowForRow(const bqe::Table& a, const bqe::Table& b);
 /// Equality as bags (order-free, duplicates counted).
 bool SameBag(const bqe::Table& a, const bqe::Table& b);
+
+/// Keeps this process, and every thread it starts later, on the CPU the
+/// calling thread runs on now. Returns false when the CPU cannot be told.
+bool PinToCurrentCpu();
 
 /// Peak resident set size of this process, in MiB.
 double PeakRssMb();

@@ -221,13 +221,15 @@ void RunFanout(const RunOptions& opts, Report* report) {
       kQueriedPids, kReadsPerWrite, kExecThreads);
 
   std::unique_ptr<bqe::BoundedEngine> engine;
-  std::vector<double> setups;
+  HostSpeed speed;
+  std::vector<double> setups, builds;
   for (int i = 0; i < kSetups; ++i) {
     engine.reset();
-    Clock::time_point s0 = Clock::now();
+    SetupTimer timer(&speed);
     engine = std::make_unique<bqe::BoundedEngine>(&fx.db, fx.schema, EngineOpts());
     bqe::Status st = engine->BuildIndices();
-    setups.push_back(SecondsSince(s0));
+    builds.push_back(timer.Stop());
+    setups.push_back(timer.rescaled());
     if (!st.ok()) {
       std::fprintf(stderr, "BuildIndices: %s\n", st.ToString().c_str());
       return;
@@ -246,6 +248,7 @@ void RunFanout(const RunOptions& opts, Report* report) {
     Clock::time_point r0 = Clock::now();
     bqe::Result<bqe::ExecuteResult> r = engine->Execute(queries[pid]);
     reads.Add(MicrosBetween(r0, Clock::now()));
+    speed.MaybeProbe();
     report->Attempt(r.ok(), "fanout read");
     if (r.ok()) answers.push_back(Answer{pid, std::move(r->table)});
     if (next % kReadsPerWrite == 0) {
@@ -257,7 +260,7 @@ void RunFanout(const RunOptions& opts, Report* report) {
   }
 
   if (!opts.trace) {
-    report->SetEndToEnd(setups, reads, 1, writes, ready_rss_mb);
+    report->SetEndToEnd(setups, reads, 1, writes, ready_rss_mb, speed);
     engine.reset();
     CheckAnswers(queries, answers, report);
     return;
@@ -302,7 +305,7 @@ void RunFanout(const RunOptions& opts, Report* report) {
   uint64_t n = traced.size();
   report->Set("core.fingerprint_us", tr.PerRequestUs("core.fingerprint", n));
   report->Set("exec.execute_us", tr.PerRequestUs("exec.execute", n));
-  report->Set("constraints.build_s", Quantile(setups, 0.25));
+  report->Set("constraints.build_s", Quantile(builds, 0.25));
   acct.Fill(report);
   bqe::PlanCacheStats pc = engine->plan_cache_stats();
   report->Set("core.plan_cache_hit_ratio", Ratio(pc.hits, pc.hits + pc.misses));

@@ -149,10 +149,12 @@ void RunHotChurn(const RunOptions& opts, Report* report) {
 
   std::unique_ptr<bqe::BoundedEngine> engine;
   std::unique_ptr<bqe::serve::QueryService> service;
+  HostSpeed speed;
   std::vector<double> setups, builds;
   for (int i = 0; i < kSetups; ++i) {
     service.reset();
     engine.reset();
+    SetupTimer timer(&speed);
     Clock::time_point s0 = Clock::now();
     engine = std::make_unique<bqe::BoundedEngine>(&fx.db, fx.schema, eopts);
     bqe::Status st = engine->BuildIndices();
@@ -162,7 +164,8 @@ void RunHotChurn(const RunOptions& opts, Report* report) {
       return;
     }
     service = std::make_unique<bqe::serve::QueryService>(engine.get(), sopts);
-    setups.push_back(SecondsSince(s0));
+    timer.Stop();
+    setups.push_back(timer.rescaled());
   }
   for (const RaExprPtr& q : queries) (void)service->Query(q);  // Warm-up.
   double ready_rss_mb = PeakRssMb();
@@ -230,6 +233,9 @@ void RunHotChurn(const RunOptions& opts, Report* report) {
     bqe::serve::DeltaResponse r = service->ApplyDeltas(batches[i]);
     writes.Add(MicrosBetween(due, Clock::now()));
     if (!r.status.ok()) ++writes_failed;
+    // The writer is the one thread that probes the host: it idles between
+    // batches, so the probe takes no core from the readers.
+    speed.MaybeProbe();
   }
   for (std::thread& t : threads) t.join();
   bqe::serve::ServiceStats ss = service->stats();
@@ -244,7 +250,7 @@ void RunHotChurn(const RunOptions& opts, Report* report) {
   }
   report->AddAttempts(batches.size(), writes_failed, "hot_churn write");
   if (!opts.trace) {
-    report->SetEndToEnd(setups, reads, kClients, writes, ready_rss_mb);
+    report->SetEndToEnd(setups, reads, kClients, writes, ready_rss_mb, speed);
   }
 
   // The writer has quiesced: every working-set answer must equal a freshly
