@@ -18,6 +18,7 @@
 #include "baseline/eval.h"
 #include "common/rng.h"
 #include "core/engine.h"
+#include "core/plan2sql.h"
 #include "ra/builder.h"
 #include "ra/printer.h"
 
@@ -124,7 +125,12 @@ int main() {
     if (extra == 0) {
       std::cout << "\ncanonical bounded plan (cf. Example 2):\n"
                 << info->plan.ToString() << "\n";
-      std::cout << "Plan2SQL:\n" << info->sql << "\n\n";
+      Result<std::string> sql = PlanToSql(info->plan);
+      if (!sql.ok()) {
+        std::cerr << sql.status().ToString() << "\n";
+        return 1;
+      }
+      std::cout << "Plan2SQL:\n" << *sql << "\n\n";
     }
 
     Result<ExecuteResult> bounded = engine.Execute(q0);

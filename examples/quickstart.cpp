@@ -74,7 +74,12 @@ int main() {
   std::cout << "covered by A:    " << (info->covered ? "yes" : "no") << "\n";
   std::cout << "plan (" << info->plan.Length() << " steps):\n"
             << info->plan.ToString() << "\n";
-  std::cout << "as SQL over the index relations:\n" << info->sql << "\n\n";
+  Result<std::string> sql = PlanToSql(info->plan);
+  if (!sql.ok()) {
+    std::cerr << sql.status().ToString() << "\n";
+    return 1;
+  }
+  std::cout << "as SQL over the index relations:\n" << *sql << "\n\n";
 
   // 6. Execute: data access goes through the indices only.
   Result<ExecuteResult> result = engine.Execute(*query);

@@ -15,4 +15,14 @@ AccessSchema Actualize(const AccessSchema& schema, const NormalizedQuery& query)
   return out;
 }
 
+std::vector<int> ActualizedOrigins(const AccessSchema& schema,
+                                   const NormalizedQuery& query) {
+  // Must enumerate exactly as Actualize does.
+  std::vector<int> origin;
+  for (const auto& [occ, base] : query.occurrences()) {
+    for (int cid : schema.ForRelation(base)) origin.push_back(cid);
+  }
+  return origin;
+}
+
 }  // namespace bqe

@@ -1,6 +1,8 @@
 #ifndef BQE_CONSTRAINTS_ACTUALIZE_H_
 #define BQE_CONSTRAINTS_ACTUALIZE_H_
 
+#include <vector>
+
 #include "constraints/access_schema.h"
 #include "ra/normalize.h"
 
@@ -13,6 +15,12 @@ namespace bqe {
 ///
 /// Runs in O(|Q||A|) time as stated by Lemma 1.
 AccessSchema Actualize(const AccessSchema& schema, const NormalizedQuery& query);
+
+/// The id in `schema` of each constraint of Actualize(schema, query),
+/// indexed by actualized id. Unlike `source_id`, which names the root of a
+/// chain of Subset copies, these are ids of `schema` itself.
+std::vector<int> ActualizedOrigins(const AccessSchema& schema,
+                                   const NormalizedQuery& query);
 
 }  // namespace bqe
 

@@ -5,7 +5,6 @@
 
 #include "common/strings.h"
 #include "constraints/validate.h"
-#include "core/plan2sql.h"
 #include "core/qplan.h"
 #include "core/rewrite.h"
 #include "exec/key_codec.h"
@@ -87,23 +86,21 @@ Result<PrepareInfo> BoundedEngine::Prepare(const RaExprPtr& query) const {
   info.explanation = info.report.Explain();
   if (!info.covered) return info;
 
-  // C3: access minimization; planning proceeds on the minimized subset.
-  const AccessSchema* plan_schema = &schema_;
-  AccessSchema minimized;
+  // C3: access minimization; planning proceeds on the minimized subset,
+  // from the coverage report minimization already made of it.
+  const CoverageReport* plan_report = &info.report;
+  info.constraints_used = schema_.size();
+  MinimizeResult minimized;
   if (options_.minimize) {
     Result<MinimizeResult> m =
-        MinimizeAccess(nq, schema_, options_.minimize_algo);
+        MinimizeAccess(nq, schema_, info.report, options_.minimize_algo);
     if (m.ok()) {
-      minimized = std::move(m->minimized);
-      plan_schema = &minimized;
+      minimized = std::move(*m);
+      plan_report = &minimized.report;
+      info.constraints_used = minimized.minimized.size();
     }
   }
-  info.constraints_used = plan_schema->size();
-
-  BQE_ASSIGN_OR_RETURN(CoverageReport plan_report,
-                       CheckCoverage(nq, *plan_schema));
-  BQE_ASSIGN_OR_RETURN(info.plan, GeneratePlan(nq, plan_report));
-  BQE_ASSIGN_OR_RETURN(info.sql, PlanToSql(info.plan));
+  BQE_ASSIGN_OR_RETURN(info.plan, GeneratePlan(nq, *plan_report));
   return info;
 }
 

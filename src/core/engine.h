@@ -67,7 +67,6 @@ struct PrepareInfo {
   size_t constraints_used = 0;
   CoverageReport report;
   BoundedPlan plan;          ///< Valid when covered.
-  std::string sql;           ///< Plan2SQL output, when covered.
   std::string explanation;   ///< Human-readable coverage explanation.
 };
 

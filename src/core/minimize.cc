@@ -1,10 +1,12 @@
 #include "core/minimize.h"
 
 #include <algorithm>
-#include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/strings.h"
+#include "constraints/actualize.h"
 #include "core/qplan.h"
 #include "hypergraph/steiner.h"
 
@@ -26,65 +28,187 @@ size_t CoveredClassCount(const CoverageReport& report) {
 
 Result<MinimizeResult> PackResult(const NormalizedQuery& query,
                                   const AccessSchema& schema,
-                                  std::set<int> kept) {
+                                  std::vector<int> kept_ids) {
   MinimizeResult out;
-  out.kept_ids.assign(kept.begin(), kept.end());
+  out.kept_ids = std::move(kept_ids);
   out.minimized = schema.Subset(out.kept_ids);
   for (int id : out.kept_ids) out.total_n += schema.at(id).n;
   // Safety: the result must still cover the query.
-  BQE_ASSIGN_OR_RETURN(CoverageReport check,
-                       CheckCoverage(query, out.minimized));
-  if (!check.covered) {
+  BQE_ASSIGN_OR_RETURN(out.report, CheckCoverage(query, out.minimized));
+  if (!out.report.covered) {
     return Status::Internal("minimization produced a non-covering subset");
   }
   return out;
 }
 
-/// Algorithm minA (Theorem 10(1)): greedy removal of the highest-weight
-/// redundant constraint until the subset is minimal.
-Result<MinimizeResult> MinimizeGreedy(const NormalizedQuery& query,
-                                      const AccessSchema& schema,
-                                      const MinimizeOptions& opts) {
-  std::set<int> kept;
-  for (const AccessConstraint& c : schema.constraints()) kept.insert(c.id);
+/// Decides "is Q covered by S?" for subsets S of A from one analysis of Q
+/// against all of A. Actualizing S keeps exactly the actualized constraints
+/// of S, so CovChk on S sees the induced FDs and index candidates of the
+/// full-schema report whose constraints lie in S; unification, X_Q and
+/// X_Q^C do not depend on A at all.
+class SubsetChecker {
+ public:
+  SubsetChecker(const CoverageReport& report, const std::vector<int>& origin) {
+    for (const SpcCoverage& sc : report.spcs) {
+      if (sc.uni.unsatisfiable) continue;  // Covered under every S.
+      Spc s;
+      s.num_classes = sc.uni.num_classes;
+      s.seed = sc.xc_classes;
+      s.needed = sc.xq_classes;
+      s.fds_of_class.resize(static_cast<size_t>(s.num_classes));
+      for (const Fd& fd : sc.induced_fds) {
+        for (int cls : fd.lhs) {
+          s.fds_of_class[static_cast<size_t>(cls)].push_back(
+              static_cast<int>(s.fds.size()));
+        }
+        s.fds.push_back(Fd{fd.lhs, fd.rhs,
+                           origin[static_cast<size_t>(fd.constraint_id)]});
+      }
+      // The constraints that may index each occurrence once their X is
+      // covered: those whose XY spans the occurrence's attributes in X_Q.
+      for (const auto& [occ, chosen] : sc.index_constraint) {
+        std::set<std::string> needed;
+        for (const AttrRef& a : sc.spc.xq) {
+          if (a.rel == occ) needed.insert(a.attr);
+        }
+        std::vector<IndexCandidate> cands;
+        for (int cid : report.actualized.ForRelation(occ)) {
+          const AccessConstraint& c = report.actualized.at(cid);
+          std::set<std::string> xy(c.x.begin(), c.x.end());
+          xy.insert(c.y.begin(), c.y.end());
+          if (!std::includes(xy.begin(), xy.end(), needed.begin(),
+                             needed.end())) {
+            continue;
+          }
+          IndexCandidate cand{origin[static_cast<size_t>(cid)], {}};
+          bool known = true;
+          for (const std::string& a : c.x) {
+            int cls = sc.uni.ClassOf(AttrRef{occ, a});
+            if (cls < 0) known = false;
+            cand.x_classes.push_back(cls);
+          }
+          if (known) cands.push_back(std::move(cand));
+        }
+        s.occurrences.push_back(std::move(cands));
+      }
+      spcs_.push_back(std::move(s));
+    }
+  }
 
-  // Drop constraints on relations the query never mentions first — they are
-  // trivially redundant and would dominate the weight ranking anyway.
-  {
-    std::set<std::string> bases;
-    for (const auto& [occ, base] : query.occurrences()) bases.insert(base);
-    for (auto it = kept.begin(); it != kept.end();) {
-      if (bases.count(schema.at(*it).rel) == 0) {
-        it = kept.erase(it);
-      } else {
-        ++it;
+  /// True when Q is covered by the constraints with enabled[id]. Sets
+  /// *cov_size to |cov(Q,S)| summed over the sub-queries — what
+  /// CoveredClassCount gives for CheckCoverage(Q, S) — when covered.
+  bool Covered(const std::vector<bool>& enabled, size_t* cov_size) {
+    size_t total = 0;
+    for (const Spc& s : spcs_) {
+      Closure(s, enabled);
+      for (int cls : s.needed) {
+        if (!closure_[static_cast<size_t>(cls)]) return false;  // Fetchable.
+      }
+      for (const std::vector<IndexCandidate>& cands : s.occurrences) {
+        bool indexed = false;
+        for (const IndexCandidate& c : cands) {
+          if (!enabled[static_cast<size_t>(c.id)]) continue;
+          indexed = std::all_of(
+              c.x_classes.begin(), c.x_classes.end(),
+              [&](int cls) { return closure_[static_cast<size_t>(cls)]; });
+          if (indexed) break;
+        }
+        if (!indexed) return false;
+      }
+      total += static_cast<size_t>(
+          std::count(closure_.begin(), closure_.end(), true));
+    }
+    *cov_size = total;
+    return true;
+  }
+
+ private:
+  struct IndexCandidate {
+    int id;                      ///< Constraint id in A.
+    std::vector<int> x_classes;  ///< rho_U of the occurrence's X.
+  };
+  struct Spc {
+    int num_classes = 0;
+    std::vector<int> seed;    ///< rho_U(X_Q^C).
+    std::vector<int> needed;  ///< rho_U(X_Q).
+    std::vector<Fd> fds;      ///< Induced FDs; constraint_id is the id in A.
+    /// Class -> indexes of the FDs with the class in their lhs.
+    std::vector<std::vector<int>> fds_of_class;
+    std::vector<std::vector<IndexCandidate>> occurrences;
+  };
+
+  /// FdClosure restricted to the FDs of enabled constraints, into closure_.
+  void Closure(const Spc& s, const std::vector<bool>& enabled) {
+    closure_.assign(static_cast<size_t>(s.num_classes), false);
+    queue_.clear();
+    auto reach = [&](int cls) {
+      if (!closure_[static_cast<size_t>(cls)]) {
+        closure_[static_cast<size_t>(cls)] = true;
+        queue_.push_back(cls);
+      }
+    };
+    auto fire = [&](const Fd& fd) {
+      if (!enabled[static_cast<size_t>(fd.constraint_id)]) return;
+      for (int cls : fd.rhs) reach(cls);
+    };
+    missing_.resize(s.fds.size());
+    for (size_t i = 0; i < s.fds.size(); ++i) {
+      missing_[i] = static_cast<int>(s.fds[i].lhs.size());
+      if (missing_[i] == 0) fire(s.fds[i]);
+    }
+    for (int cls : s.seed) reach(cls);
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      for (int fi : s.fds_of_class[static_cast<size_t>(queue_[head])]) {
+        if (--missing_[static_cast<size_t>(fi)] == 0) {
+          fire(s.fds[static_cast<size_t>(fi)]);
+        }
       }
     }
   }
 
-  auto coverage_of = [&](const std::set<int>& ids)
-      -> Result<CoverageReport> {
-    std::vector<int> v(ids.begin(), ids.end());
-    return CheckCoverage(query, schema.Subset(v));
-  };
+  std::vector<Spc> spcs_;
+  // Scratch reused across Covered() calls.
+  std::vector<bool> closure_;
+  std::vector<int> queue_;
+  std::vector<int> missing_;
+};
 
-  BQE_ASSIGN_OR_RETURN(CoverageReport current, coverage_of(kept));
-  if (!current.covered) {
-    return Status::FailedPrecondition(
-        "MinimizeAccess requires the query to be covered by A");
-  }
-  size_t cov_now = CoveredClassCount(current);
+/// Algorithm minA (Theorem 10(1)): greedy removal of the highest-weight
+/// redundant constraint until the subset is minimal.
+Result<MinimizeResult> MinimizeGreedy(const NormalizedQuery& query,
+                                      const AccessSchema& schema,
+                                      const CoverageReport& report,
+                                      const std::vector<int>& origin,
+                                      const MinimizeOptions& opts) {
+  SubsetChecker checker(report, origin);
+  // Start from the constraints on the query's relations: the others never
+  // actualize onto Q, so they are trivially redundant and would dominate
+  // the weight ranking anyway.
+  std::vector<int> kept = origin;
+  std::sort(kept.begin(), kept.end());
+  kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+  std::vector<bool> enabled(schema.size(), false);
+  for (int id : kept) enabled[static_cast<size_t>(id)] = true;
+  // Coverage is monotone in A: once dropping phi from `kept` breaks it,
+  // dropping phi from any later (smaller) `kept` does too.
+  std::vector<bool> essential(schema.size(), false);
+  size_t cov_now = CoveredClassCount(report);
 
   while (true) {
     int best = -1;
     double best_w = -1.0;
     size_t best_cov = 0;
     for (int cand : kept) {
-      std::set<int> without = kept;
-      without.erase(cand);
-      BQE_ASSIGN_OR_RETURN(CoverageReport r, coverage_of(without));
-      if (!r.covered) continue;
-      size_t cov_without = CoveredClassCount(r);
+      if (essential[static_cast<size_t>(cand)]) continue;
+      enabled[static_cast<size_t>(cand)] = false;
+      size_t cov_without = 0;
+      bool covered = checker.Covered(enabled, &cov_without);
+      enabled[static_cast<size_t>(cand)] = true;
+      if (!covered) {
+        essential[static_cast<size_t>(cand)] = true;
+        continue;
+      }
       double denom =
           opts.c2 * static_cast<double>(cov_now - cov_without + 1);
       double w = opts.c1 * static_cast<double>(schema.at(cand).n) / denom;
@@ -95,16 +219,11 @@ Result<MinimizeResult> MinimizeGreedy(const NormalizedQuery& query,
       }
     }
     if (best < 0) break;  // Minimal: removing anything breaks coverage.
-    kept.erase(best);
+    enabled[static_cast<size_t>(best)] = false;
+    kept.erase(std::find(kept.begin(), kept.end(), best));
     cov_now = best_cov;
   }
   return PackResult(query, schema, std::move(kept));
-}
-
-/// Maps an actualized-constraint id back to its original id.
-int SourceId(const AccessSchema& actualized, int actual_id) {
-  const AccessConstraint& c = actualized.at(actual_id);
-  return c.source_id >= 0 ? c.source_id : c.id;
 }
 
 /// Algorithm minADAG (Theorem 10(2)): shortest weighted hyperpaths from r to
@@ -112,12 +231,9 @@ int SourceId(const AccessSchema& actualized, int actual_id) {
 /// indexing constraint per occurrence (with paths for its X classes).
 Result<MinimizeResult> MinimizeAcyclic(const NormalizedQuery& query,
                                        const AccessSchema& schema,
+                                       const CoverageReport& report,
+                                       const std::vector<int>& origin,
                                        const MinimizeOptions& opts) {
-  BQE_ASSIGN_OR_RETURN(CoverageReport report, CheckCoverage(query, schema));
-  if (!report.covered) {
-    return Status::FailedPrecondition(
-        "MinimizeAccess requires the query to be covered by A");
-  }
   std::set<int> kept;
   for (const SpcCoverage& sc : report.spcs) {
     if (sc.uni.unsatisfiable) continue;
@@ -132,7 +248,7 @@ Result<MinimizeResult> MinimizeAcyclic(const NormalizedQuery& query,
         int fd_idx = hg.graph.edges()[static_cast<size_t>(ei)].payload;
         if (fd_idx < 0) continue;  // Root edge to a constant class.
         int actual = sc.induced_fds[static_cast<size_t>(fd_idx)].constraint_id;
-        kept.insert(SourceId(report.actualized, actual));
+        kept.insert(origin[static_cast<size_t>(actual)]);
       }
       return Status::Ok();
     };
@@ -178,17 +294,18 @@ Result<MinimizeResult> MinimizeAcyclic(const NormalizedQuery& query,
         }
       }
       if (best < 0) best = chosen;  // Fall back to CovChk's pick.
-      kept.insert(SourceId(report.actualized, best));
+      kept.insert(origin[static_cast<size_t>(best)]);
       for (const std::string& xa : report.actualized.at(best).x) {
         int cls = sc.uni.ClassOf(AttrRef{occ, xa});
         BQE_RETURN_IF_ERROR(add_path_to(cls));
       }
     }
   }
-  Result<MinimizeResult> packed = PackResult(query, schema, std::move(kept));
+  Result<MinimizeResult> packed =
+      PackResult(query, schema, {kept.begin(), kept.end()});
   if (!packed.ok()) {
     // Robust fallback: the greedy algorithm always returns a covering set.
-    return MinimizeGreedy(query, schema, opts);
+    return MinimizeGreedy(query, schema, report, origin, opts);
   }
   return packed;
 }
@@ -198,12 +315,9 @@ Result<MinimizeResult> MinimizeAcyclic(const NormalizedQuery& query,
 /// arborescence rooted at r spanning the needed classes.
 Result<MinimizeResult> MinimizeElementary(const NormalizedQuery& query,
                                           const AccessSchema& schema,
+                                          const CoverageReport& report,
+                                          const std::vector<int>& origin,
                                           const MinimizeOptions& opts) {
-  BQE_ASSIGN_OR_RETURN(CoverageReport report, CheckCoverage(query, schema));
-  if (!report.covered) {
-    return Status::FailedPrecondition(
-        "MinimizeAccess requires the query to be covered by A");
-  }
   std::set<int> kept;
   for (const SpcCoverage& sc : report.spcs) {
     if (sc.uni.unsatisfiable) continue;
@@ -231,18 +345,19 @@ Result<MinimizeResult> MinimizeElementary(const NormalizedQuery& query,
     }
     Result<SteinerSolution> sol = SolveSteinerArborescence(
         num_nodes, edges, /*root=*/0, terminals, opts.steiner_level);
-    if (!sol.ok()) return MinimizeGreedy(query, schema, opts);
+    if (!sol.ok()) return MinimizeGreedy(query, schema, report, origin, opts);
     for (int ei : sol->edge_ids) {
       int actual = edges[static_cast<size_t>(ei)].payload;
-      if (actual >= 0) kept.insert(SourceId(report.actualized, actual));
+      if (actual >= 0) kept.insert(origin[static_cast<size_t>(actual)]);
     }
     // Indexing constraints (step (c)(ii) of minAE).
     for (const auto& [occ, chosen] : sc.index_constraint) {
-      if (chosen >= 0) kept.insert(SourceId(report.actualized, chosen));
+      if (chosen >= 0) kept.insert(origin[static_cast<size_t>(chosen)]);
     }
   }
-  Result<MinimizeResult> packed = PackResult(query, schema, std::move(kept));
-  if (!packed.ok()) return MinimizeGreedy(query, schema, opts);
+  Result<MinimizeResult> packed =
+      PackResult(query, schema, {kept.begin(), kept.end()});
+  if (!packed.ok()) return MinimizeGreedy(query, schema, report, origin, opts);
   return packed;
 }
 
@@ -250,17 +365,35 @@ Result<MinimizeResult> MinimizeElementary(const NormalizedQuery& query,
 
 Result<MinimizeResult> MinimizeAccess(const NormalizedQuery& query,
                                       const AccessSchema& schema,
+                                      const CoverageReport& report,
                                       MinimizeAlgo algo,
                                       const MinimizeOptions& opts) {
+  std::vector<int> origin = ActualizedOrigins(schema, query);
+  if (origin.size() != report.actualized.size()) {
+    return Status::InvalidArgument(
+        "MinimizeAccess: the report does not analyse this query and schema");
+  }
+  if (!report.covered) {
+    return Status::FailedPrecondition(
+        "MinimizeAccess requires the query to be covered by A");
+  }
   switch (algo) {
     case MinimizeAlgo::kGreedy:
-      return MinimizeGreedy(query, schema, opts);
+      return MinimizeGreedy(query, schema, report, origin, opts);
     case MinimizeAlgo::kAcyclic:
-      return MinimizeAcyclic(query, schema, opts);
+      return MinimizeAcyclic(query, schema, report, origin, opts);
     case MinimizeAlgo::kElementary:
-      return MinimizeElementary(query, schema, opts);
+      return MinimizeElementary(query, schema, report, origin, opts);
   }
   return Status::InvalidArgument("unknown minimization algorithm");
+}
+
+Result<MinimizeResult> MinimizeAccess(const NormalizedQuery& query,
+                                      const AccessSchema& schema,
+                                      MinimizeAlgo algo,
+                                      const MinimizeOptions& opts) {
+  BQE_ASSIGN_OR_RETURN(CoverageReport report, CheckCoverage(query, schema));
+  return MinimizeAccess(query, schema, report, algo, opts);
 }
 
 Result<bool> IsAcyclicCase(const NormalizedQuery& query,

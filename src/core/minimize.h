@@ -37,10 +37,33 @@ struct MinimizeResult {
   AccessSchema minimized;
   /// Sum of N over kept constraints — the objective of AMP.
   int64_t total_n = 0;
+  /// CheckCoverage(Q, A_m): the safety check that A_m still covers Q. It is
+  /// exactly the report the planner needs, so callers plan from it instead
+  /// of analysing A_m again.
+  CoverageReport report;
 };
 
 /// Solves AMP(Q, A): finds A_m subset of A such that Q stays covered by A_m
 /// and the estimated access Sum N is small. Pre-condition: Q covered by A.
+/// `report` must be CheckCoverage(query, schema); every algorithm starts
+/// from it, so a caller that already analysed Q against A (the engine's
+/// Prepare) pays for no second full-schema analysis.
+///
+/// minA never re-runs CovChk per candidate subset. It compiles `report`
+/// once into a subset checker — per satisfiable SPC sub-query the induced
+/// FDs and the index-eligible constraints of each occurrence, each tagged
+/// with its constraint id in A — and decides "is Q covered by S" for a
+/// subset S as an FD closure over the FDs of S plus a scan of S's index
+/// candidates. Coverage is monotone in A, so a constraint whose removal
+/// breaks coverage once is essential for the rest of the greedy and is
+/// never tried again. The subset is a plain bitmap over A: any schema size.
+Result<MinimizeResult> MinimizeAccess(const NormalizedQuery& query,
+                                      const AccessSchema& schema,
+                                      const CoverageReport& report,
+                                      MinimizeAlgo algo,
+                                      const MinimizeOptions& opts = {});
+
+/// As above, computing the full-schema report itself.
 Result<MinimizeResult> MinimizeAccess(const NormalizedQuery& query,
                                       const AccessSchema& schema,
                                       MinimizeAlgo algo,

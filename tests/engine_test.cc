@@ -6,6 +6,7 @@
 
 #include "core/engine.h"
 #include "core/plan2sql.h"
+#include "core/qplan.h"
 #include "ra/builder.h"
 #include "testutil.h"
 
@@ -51,9 +52,37 @@ TEST_F(EngineTest, PrepareCoveredQuery) {
   EXPECT_TRUE(info->covered);
   EXPECT_FALSE(info->used_rewrite);
   EXPECT_GT(info->plan.Length(), 0u);
-  EXPECT_FALSE(info->sql.empty());
+  Result<std::string> sql = PlanToSql(info->plan);
+  ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+  EXPECT_FALSE(sql->empty());
   // Minimization dropped at least psi3 for Q1.
   EXPECT_LT(info->constraints_used, fx_.schema.size());
+}
+
+TEST_F(EngineTest, PreparePlansFromTheMinimizedSchema) {
+  // Prepare plans from MinimizeResult::report; the plan must be exactly
+  // GeneratePlan(CovChk(Q, A_m)). A1 = A0 + psi5 (dine((pid, year) -> (cid),
+  // 366)), so A_m = {psi1, psi2, psi4} drops two constraints.
+  AccessSchema a1 = fx_.schema;
+  ASSERT_TRUE(
+      a1.Add(*AccessConstraint::Parse("dine((pid, year) -> (cid), 366)"),
+             fx_.db.catalog())
+          .ok());
+  BoundedEngine engine(&fx_.db, a1);
+  ASSERT_TRUE(engine.BuildIndices().ok());
+  Result<PrepareInfo> info = engine.Prepare(MakeQ1());
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  Result<NormalizedQuery> nq = Normalize(MakeQ1(), fx_.db.catalog());
+  ASSERT_TRUE(nq.ok());
+  Result<MinimizeResult> m =
+      MinimizeAccess(*nq, a1, EngineOptions{}.minimize_algo);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  Result<CoverageReport> minimized = CheckCoverage(*nq, m->minimized);
+  ASSERT_TRUE(minimized.ok());
+  Result<BoundedPlan> want = GeneratePlan(*nq, *minimized);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(info->plan.ToString(), want->ToString());
+  EXPECT_EQ(info->constraints_used, m->kept_ids.size());
 }
 
 TEST_F(EngineTest, PrepareRewritesQ0) {
@@ -409,9 +438,11 @@ TEST_F(EngineTest, ParallelExecutionMatchesSerial) {
 TEST_F(EngineTest, SqlForPlanIsNonTrivial) {
   Result<PrepareInfo> info = engine_->Prepare(MakeQ1());
   ASSERT_TRUE(info.ok());
-  EXPECT_NE(info->sql.find("WITH"), std::string::npos);
-  EXPECT_NE(info->sql.find("ind_"), std::string::npos);
-  EXPECT_NE(info->sql.find("SELECT DISTINCT"), std::string::npos);
+  Result<std::string> sql = PlanToSql(info->plan);
+  ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+  EXPECT_NE(sql->find("WITH"), std::string::npos);
+  EXPECT_NE(sql->find("ind_"), std::string::npos);
+  EXPECT_NE(sql->find("SELECT DISTINCT"), std::string::npos);
 }
 
 TEST_F(EngineTest, PlanCacheStatsSnapshotIsLockFreeUnderConcurrency) {
