@@ -3,9 +3,10 @@
 //
 // Each shard owns a hash-partitioned replica of the database (rows
 // replicated to every shard owning one of their fetch keys), its own
-// indices, plan cache and writer-priority gate. Execution scatters only
-// the plan's fetch steps to owning shards and merges centrally, so the
-// answers are byte-identical to a single engine — while a delta batch
+// indices, plan cache and writer-priority gate. Plans run through the
+// planning shard's ordinary executors; only their fetch steps read from
+// the owning shards, through the sharded engine's routed fetch source, so
+// the answers are byte-identical to a single engine — while a delta batch
 // writer-locks only the shards whose slots it touches, leaving readers
 // on the other shards running. See docs/architecture.md, "Hash-
 // partitioned sharding".

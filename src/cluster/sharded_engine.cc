@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <utility>
 
-#include "common/strings.h"
 #include "exec/key_codec.h"
+#include "exec/operators.h"
 #include "exec/parallel.h"
-#include "ra/expr.h"
 
 namespace bqe {
 namespace cluster {
@@ -38,47 +37,189 @@ class GateWriteHold {
   std::vector<WriterPriorityGate*> gates_;
 };
 
-/// First-seen-stable dedupe on encoded keys. Agrees with the row path's
-/// TupleHash-set Dedupe because the key codec makes Value-equality and
-/// byte-equality coincide; partitioned (the PR 5 radix kernel) once the
-/// input is large enough to matter, degenerating to one bare KeyTable
-/// below that.
-constexpr size_t kPartitionedMergeMinRows = size_t{1} << 12;
-
-size_t MergeParts(size_t rows) {
-  return rows >= kPartitionedMergeMinRows ? 8 : 1;
-}
-
-void EncodedDedupe(std::vector<Tuple>* rows) {
-  PartitionedKeyTable seen(MergeParts(rows->size()), rows->size());
-  std::vector<Tuple> out;
-  out.reserve(rows->size());
-  std::string enc;
-  for (Tuple& row : *rows) {
-    enc.clear();
-    AppendEncodedTuple(row, &enc);
-    bool fresh = false;
-    seen.InsertOrFind(enc, &fresh);
-    if (fresh) out.push_back(std::move(row));
-  }
-  *rows = std::move(out);
-}
-
-bool EvalPlanPredicate(const Tuple& row, const PlanPredicate& p) {
-  const Value& l = row[static_cast<size_t>(p.lhs)];
-  if (p.kind == PlanPredicate::Kind::kColConst) {
-    return EvalCmp(p.op, l, p.constant);
-  }
-  return EvalCmp(p.op, l, row[static_cast<size_t>(p.rhs)]);
-}
-
-size_t AutoThreads() {
-  unsigned hw = std::thread::hardware_concurrency();
-  size_t n = hw == 0 ? 1 : static_cast<size_t>(hw);
-  return std::min(n, WorkerPool::kMaxThreads);
-}
-
 }  // namespace
+
+/// The routed FetchSource: each key is read from its owning shard, whose
+/// bucket equals the single engine's, under that shard's reader gate.
+class ShardedEngine::RoutedSource final : public FetchSource {
+ public:
+  explicit RoutedSource(const ShardedEngine* eng) : eng_(eng) {}
+
+  size_t NumEntries(const AccessIndex& binding) const override {
+    const int cid = binding.constraint().id;
+    size_t n = 0;
+    for (const std::unique_ptr<Shard>& s : eng_->shards_) {
+      ReaderGateLock rl(&s->gate);
+      const AccessIndex* idx = s->engine->indices().Get(cid);
+      if (idx != nullptr) n += idx->NumEntries();
+    }
+    return n;
+  }
+
+  BatchVec FetchBatches(const AccessIndex& binding, const BatchVec& input,
+                        size_t batch_size, size_t workers, uint64_t task_tag,
+                        FetchCounters* counters) const override {
+    // Distinct probe keys in first-seen order, grouped by owning shard. The
+    // encoded input row is the encoded X-key: it routes the key and probes
+    // the owner's mirror.
+    KeyTable seen(TotalRows(input));
+    KeyEncoder enc;
+    std::vector<std::string> keys;
+    std::vector<size_t> owner;
+    std::vector<std::vector<size_t>> by_shard(eng_->shards_.size());
+    for (const ColumnBatch& b : input) {
+      enc.Encode(b, {});
+      for (size_t i = 0; i < b.num_rows(); ++i) {
+        std::string_view key = enc.Key(i);
+        bool fresh = false;
+        seen.InsertOrFind(key, &fresh);
+        if (!fresh) continue;
+        size_t sh = eng_->router_.ShardOfEncoded(key);
+        by_shard[sh].push_back(keys.size());
+        owner.push_back(sh);
+        keys.emplace_back(key);
+      }
+    }
+    counters->probes += keys.size();
+
+    // Each engaged shard copies its keys' buckets into one chunk while its
+    // gate is held; `range[pos]` locates key pos's bucket in that chunk.
+    std::vector<ColumnBatch> chunks(by_shard.size());
+    std::vector<std::pair<size_t, size_t>> range(keys.size());
+    size_t engaged = RunShardTasks(
+        binding, by_shard, workers, task_tag,
+        [&](size_t sh, const AccessIndex& idx) {
+          idx.EnsureFrozen();
+          ColumnBatch& chunk = chunks[sh];
+          chunk = ColumnBatch(binding.output_types());
+          for (size_t pos : by_shard[sh]) {
+            size_t begin = chunk.num_rows();
+            FrozenSegment hit[2];
+            size_t ns = idx.FrozenProbe(keys[pos], hit);
+            for (size_t k = 0; k < ns; ++k) {
+              const FrozenSegment& g = hit[k];
+              if (g.rows != nullptr) {
+                chunk.GatherRowsFrom(*g.batch, g.rows, g.n, {});
+              } else {
+                chunk.GatherRangeFrom(*g.batch, g.begin, g.end - g.begin);
+              }
+            }
+            range[pos] = {begin, chunk.num_rows() - begin};
+          }
+        });
+
+    // Gather in key order. With one engaged shard its chunk already is the
+    // key-ordered stream.
+    size_t total = 0;
+    for (const std::pair<size_t, size_t>& r : range) total += r.second;
+    counters->tuples_fetched += total;
+    BatchVec out;
+    if (total == 0) return out;
+    if (engaged == 1 && total <= batch_size) {
+      out.push_back(std::move(chunks[owner[0]]));
+      return out;
+    }
+    BatchWriter w(binding.output_types(), batch_size, &out);
+    for (size_t pos = 0; pos < keys.size(); ++pos) {
+      auto [begin, n] = range[pos];
+      if (n > 0) w.WriteGatherRange(chunks[owner[pos]], begin, n);
+    }
+    w.Finish();
+    return out;
+  }
+
+  std::vector<std::vector<Tuple>> FetchRows(
+      const AccessIndex& binding,
+      const std::vector<Tuple>& keys) const override {
+    std::vector<std::vector<size_t>> by_shard(eng_->shards_.size());
+    for (size_t pos = 0; pos < keys.size(); ++pos) {
+      by_shard[eng_->router_.ShardOfKey(keys[pos])].push_back(pos);
+    }
+    std::vector<std::vector<Tuple>> out(keys.size());
+    RunShardTasks(binding, by_shard, /*workers=*/1, /*task_tag=*/0,
+                  [&](size_t sh, const AccessIndex& idx) {
+                    for (size_t pos : by_shard[sh]) {
+                      out[pos] = idx.Fetch(keys[pos]);
+                    }
+                  });
+    return out;
+  }
+
+  bool PatchLogSince(const AccessIndex& binding, std::vector<uint64_t>* cursor,
+                     std::vector<BucketPatch>* out) const override {
+    const std::vector<std::unique_ptr<Shard>>& shards = eng_->shards_;
+    const int cid = binding.constraint().id;
+    if (cursor->empty()) {
+      cursor->reserve(shards.size());
+      for (const std::unique_ptr<Shard>& s : shards) {
+        const AccessIndex* idx = s->engine->indices().Get(cid);
+        cursor->push_back(idx != nullptr ? idx->patch_log_stamp() : 0);
+      }
+      return true;
+    }
+    if (cursor->size() != shards.size()) return false;  // Foreign cursor.
+    bool ok = true;
+    std::vector<BucketPatch> shard_events;
+    for (size_t i = 0; i < shards.size(); ++i) {
+      const AccessIndex* idx = shards[i]->engine->indices().Get(cid);
+      if (idx == nullptr) continue;
+      shard_events.clear();
+      const bool shard_ok = idx->PatchLogSince((*cursor)[i], &shard_events);
+      (*cursor)[i] = idx->patch_log_stamp();
+      if (!shard_ok) {
+        ok = false;  // Keep draining: every cursor must land at "now".
+        continue;
+      }
+      for (BucketPatch& ev : shard_events) {
+        // Ownership filter: only the owning shard's copy of this transition
+        // counts — a replica holding the row for a different constraint's
+        // key logs the same event against a bucket it is never probed for.
+        if (eng_->router_.ShardOfKey(ev.key) != i) continue;
+        out->push_back(std::move(ev));
+      }
+    }
+    return ok;
+  }
+
+ private:
+  /// One task per shard with keys in `by_shard`: fn(shard, shard's index
+  /// for the binding's constraint) under that shard's reader gate, counted
+  /// as one scatter task. Up to `workers` tasks run at once on the shared
+  /// WorkerPool, tagged `task_tag`. Returns the number of engaged shards.
+  template <typename Fn>
+  size_t RunShardTasks(const AccessIndex& binding,
+                       const std::vector<std::vector<size_t>>& by_shard,
+                       size_t workers, uint64_t task_tag, const Fn& fn) const {
+    const int cid = binding.constraint().id;
+    std::vector<size_t> engaged;
+    for (size_t sh = 0; sh < by_shard.size(); ++sh) {
+      if (!by_shard[sh].empty()) engaged.push_back(sh);
+    }
+    auto run = [&](size_t sh) {
+      const Shard& shard = *eng_->shards_[sh];
+      ReaderGateLock rl(&shard.gate);
+      const AccessIndex* idx = shard.engine->indices().Get(cid);
+      if (idx != nullptr) fn(sh, *idx);
+      shard.scatter_tasks_ctr.fetch_add(1, std::memory_order_relaxed);
+    };
+    workers = std::min(workers, engaged.size());
+    if (workers <= 1) {
+      for (size_t sh : engaged) run(sh);
+    } else {
+      WorkerPool::Shared().ParallelFor(
+          engaged.size(), WorkerPool::GroupOptions{workers, task_tag},
+          [&](size_t, size_t t) { run(engaged[t]); });
+    }
+    return engaged.size();
+  }
+
+  const ShardedEngine* eng_;
+};
+
+ShardedEngine::ShardedEngine() = default;
+ShardedEngine::~ShardedEngine() = default;
+
+const FetchSource& ShardedEngine::fetch_source() const { return *source_; }
 
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
     const Database& db, const AccessSchema& schema, ShardedOptions opts) {
@@ -87,6 +228,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
       eng->router_,
       ShardRouter::Build(schema, db.catalog(), opts.slots, opts.shards));
   eng->opts_ = opts;
+  eng->source_ = std::make_unique<RoutedSource>(eng.get());
 
   // Copies `db` into a fresh instance: all rows for the replica, or just
   // the rows shard `shard` owns under some constraint. Rows were validated
@@ -122,8 +264,8 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
   for (size_t s = 0; s < opts.shards; ++s) {
     auto shard = std::make_unique<Shard>();
     BQE_ASSIGN_OR_RETURN(shard->db, make_db(/*full=*/false, s));
-    shard->engine = std::make_unique<BoundedEngine>(shard->db.get(), schema,
-                                                    shard_engine_opts);
+    shard->engine = std::make_unique<BoundedEngine>(
+        shard->db.get(), schema, shard_engine_opts, *eng->source_);
     BQE_RETURN_IF_ERROR(shard->engine->BuildIndices());
     eng->shards_.push_back(std::move(shard));
   }
@@ -173,251 +315,17 @@ Result<ExecuteResult> ShardedEngine::Execute(const RaExprPtr& query) const {
 Result<ExecuteResult> ShardedEngine::ExecutePrepared(const PreparedQuery& pq,
                                                      uint64_t task_tag,
                                                      size_t num_threads) const {
-  if (!pq.info.covered) {
+  if (!pq.info.covered || pq.physical == nullptr) {
     return Status::FailedPrecondition(
         "non-covered preparation: route through Execute()");
   }
-  ExecuteResult res;
-  res.used_bounded_plan = true;
-  BQE_ASSIGN_OR_RETURN(
-      res.table,
-      ExecutePlanScattered(pq.info.plan, task_tag, num_threads,
-                           &res.bounded_stats));
-  return res;
-}
-
-Result<Table> ShardedEngine::ExecutePlanScattered(const BoundedPlan& plan,
-                                                  uint64_t task_tag,
-                                                  size_t num_threads,
-                                                  ExecStats* stats) const {
-  struct StepData {
-    std::vector<Tuple> rows;
-  };
-  ExecStats local;
-  ExecStats* st = stats != nullptr ? stats : &local;
-  if (plan.output < 0 || plan.output >= static_cast<int>(plan.steps.size())) {
-    return Status::Internal("plan has no output step");
-  }
-  // Shards are built from one catalog + access schema, so static step
-  // types agree across them; derive against shard 0.
-  BQE_ASSIGN_OR_RETURN(
-      std::vector<std::vector<ValueType>> types,
-      DerivePlanStepTypes(plan, shards_[0]->engine->indices()));
-
-  std::vector<StepData> results(plan.steps.size());
-  std::string enc;  // Reused encode scratch for the central merge steps.
-  for (size_t i = 0; i < plan.steps.size(); ++i) {
-    const PlanStep& s = plan.steps[i];
-    StepData& out = results[i];
-    switch (s.kind) {
-      case PlanStep::Kind::kConst:
-        out.rows.push_back(s.row);
-        break;
-      case PlanStep::Kind::kEmpty:
-        break;
-      case PlanStep::Kind::kFetch: {
-        BQE_RETURN_IF_ERROR(ScatterFetch(
-            plan, s, results[static_cast<size_t>(s.input)].rows, task_tag,
-            num_threads, st, &out.rows));
-        break;
-      }
-      case PlanStep::Kind::kProject: {
-        const StepData& in = results[static_cast<size_t>(s.input)];
-        out.rows.reserve(in.rows.size());
-        for (const Tuple& row : in.rows) {
-          out.rows.push_back(ProjectTuple(row, s.cols));
-        }
-        if (s.dedupe) EncodedDedupe(&out.rows);
-        break;
-      }
-      case PlanStep::Kind::kFilter: {
-        const StepData& in = results[static_cast<size_t>(s.input)];
-        out.rows.reserve(in.rows.size());
-        for (const Tuple& row : in.rows) {
-          bool keep = true;
-          for (const PlanPredicate& p : s.preds) {
-            if (!EvalPlanPredicate(row, p)) {
-              keep = false;
-              break;
-            }
-          }
-          if (keep) out.rows.push_back(row);
-        }
-        break;
-      }
-      case PlanStep::Kind::kProduct: {
-        const StepData& l = results[static_cast<size_t>(s.left)];
-        const StepData& r = results[static_cast<size_t>(s.right)];
-        constexpr size_t kMaxReserve = 1u << 20;
-        size_t ln = l.rows.size(), rn = r.rows.size();
-        out.rows.reserve(rn != 0 && ln > kMaxReserve / rn ? kMaxReserve
-                                                          : ln * rn);
-        for (const Tuple& a : l.rows) {
-          for (const Tuple& b : r.rows) {
-            Tuple t = a;
-            t.insert(t.end(), b.begin(), b.end());
-            out.rows.push_back(std::move(t));
-          }
-        }
-        break;
-      }
-      case PlanStep::Kind::kJoin: {
-        const StepData& l = results[static_cast<size_t>(s.left)];
-        const StepData& r = results[static_cast<size_t>(s.right)];
-        std::vector<int> lk, rk;
-        for (auto [a, b] : s.join_cols) {
-          lk.push_back(a);
-          rk.push_back(b);
-        }
-        // Build-side chains in insertion order, probe in left order —
-        // the same row stream the single-engine row path emits.
-        KeyTable groups(r.rows.size());
-        std::vector<std::vector<uint32_t>> chains;
-        for (uint32_t bi = 0; bi < r.rows.size(); ++bi) {
-          enc.clear();
-          AppendEncodedTuple(ProjectTuple(r.rows[bi], rk), &enc);
-          bool fresh = false;
-          uint32_t g = groups.InsertOrFind(enc, &fresh);
-          if (fresh) chains.emplace_back();
-          chains[g].push_back(bi);
-        }
-        for (const Tuple& a : l.rows) {
-          enc.clear();
-          AppendEncodedTuple(ProjectTuple(a, lk), &enc);
-          uint32_t g = groups.Find(enc);
-          if (g == KeyTable::kNoGroup) continue;
-          for (uint32_t bi : chains[g]) {
-            Tuple t = a;
-            const Tuple& b = r.rows[bi];
-            t.insert(t.end(), b.begin(), b.end());
-            out.rows.push_back(std::move(t));
-          }
-        }
-        break;
-      }
-      case PlanStep::Kind::kUnion: {
-        // Cross-shard dedupe-union: both gathered streams concatenate and
-        // the merge finishes centrally on encoded keys.
-        out.rows = results[static_cast<size_t>(s.left)].rows;
-        const StepData& r = results[static_cast<size_t>(s.right)];
-        out.rows.insert(out.rows.end(), r.rows.begin(), r.rows.end());
-        EncodedDedupe(&out.rows);
-        break;
-      }
-      case PlanStep::Kind::kDiff: {
-        // Cross-shard difference: the subtrahend's gathered multiplicity
-        // state becomes one central exclusion set (the PR 5 partitioned
-        // kernel), probed by the minuend stream in order.
-        const StepData& l = results[static_cast<size_t>(s.left)];
-        const StepData& r = results[static_cast<size_t>(s.right)];
-        PartitionedKeyTable right(MergeParts(r.rows.size()), r.rows.size());
-        for (const Tuple& b : r.rows) {
-          enc.clear();
-          AppendEncodedTuple(b, &enc);
-          bool fresh = false;
-          right.InsertOrFind(enc, &fresh);
-        }
-        for (const Tuple& a : l.rows) {
-          enc.clear();
-          AppendEncodedTuple(a, &enc);
-          if (right.Find(enc) == PartitionedKeyTable::kNoGroup) {
-            out.rows.push_back(a);
-          }
-        }
-        EncodedDedupe(&out.rows);
-        break;
-      }
-    }
-    st->intermediate_rows += out.rows.size();
-    OpStats& os = st->ForKind(s.kind);
-    ++os.calls;
-    os.rows_out += out.rows.size();
-  }
-
-  const StepData& last = results[static_cast<size_t>(plan.output)];
-  const std::vector<ValueType>& out_types =
-      types[static_cast<size_t>(plan.output)];
-  std::vector<Attribute> attrs;
-  attrs.reserve(plan.output_names.size());
-  for (size_t c = 0; c < plan.output_names.size(); ++c) {
-    ValueType t = c < out_types.size() ? out_types[c] : ValueType::kNull;
-    attrs.push_back(Attribute{plan.output_names[c], t});
-  }
-  Table out(RelationSchema("result", std::move(attrs)));
-  for (const Tuple& row : last.rows) out.InsertUnchecked(row);
-  st->output_rows = out.NumRows();
-  return out;
-}
-
-Status ShardedEngine::ScatterFetch(const BoundedPlan& plan, const PlanStep& s,
-                                   const std::vector<Tuple>& input,
-                                   uint64_t task_tag, size_t num_threads,
-                                   ExecStats* st,
-                                   std::vector<Tuple>* out) const {
-  const AccessConstraint& c = plan.actualized.at(s.constraint_id);
-  int source = c.source_id >= 0 ? c.source_id : c.id;
-
-  // Distinct probe keys in first-seen order (the row path's Dedupe),
-  // reusing each key's encoding for slot routing.
-  KeyTable seen(input.size());
-  std::vector<Tuple> keys;
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  std::string enc;
-  for (const Tuple& key : input) {
-    enc.clear();
-    AppendEncodedTuple(key, &enc);
-    bool fresh = false;
-    seen.InsertOrFind(enc, &fresh);
-    if (!fresh) continue;
-    by_shard[router_.ShardOfEncoded(enc)].push_back(keys.size());
-    keys.push_back(key);
-  }
-
-  std::vector<size_t> engaged;
-  for (size_t sh = 0; sh < shards_.size(); ++sh) {
-    if (!by_shard[sh].empty()) engaged.push_back(sh);
-  }
-  std::vector<const AccessIndex*> idx(shards_.size(), nullptr);
-  for (size_t sh : engaged) {
-    idx[sh] = shards_[sh]->engine->indices().Get(source);
-    if (idx[sh] == nullptr) {
-      return Status::Internal(StrCat("shard ", sh, ": no index for constraint ",
-                                     c.ToString(), " (source id ", source,
-                                     ")"));
+  for (const std::unique_ptr<Shard>& s : shards_) {
+    if (&s->engine->indices() == &pq.physical->indices()) {
+      return s->engine->ExecutePrepared(pq, task_tag, num_threads);
     }
   }
-
-  // One scatter task per engaged shard: fetch that shard's keys under its
-  // reader gate into disjoint per-key bucket slots, gather in key order.
-  std::vector<std::vector<Tuple>> buckets(keys.size());
-  std::atomic<uint64_t> fetched{0};
-  auto run_shard = [&](size_t sh) {
-    const Shard& shard = *shards_[sh];
-    ReaderGateLock rl(&shard.gate);
-    uint64_t local = 0;
-    for (size_t pos : by_shard[sh]) {
-      buckets[pos] = idx[sh]->Fetch(keys[pos], &local);
-    }
-    fetched.fetch_add(local, std::memory_order_relaxed);
-    shard.scatter_tasks_ctr.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  size_t workers = num_threads == 0 ? AutoThreads() : num_threads;
-  workers = std::min(workers, engaged.size());
-  if (engaged.size() <= 1 || workers <= 1) {
-    for (size_t sh : engaged) run_shard(sh);
-  } else {
-    WorkerPool::Shared().ParallelFor(
-        engaged.size(), WorkerPool::GroupOptions{workers, task_tag},
-        [&](size_t, size_t t) { run_shard(engaged[t]); });
-  }
-
-  st->fetch_probes += keys.size();
-  st->tuples_fetched += fetched.load(std::memory_order_relaxed);
-  for (std::vector<Tuple>& bucket : buckets) {
-    for (Tuple& row : bucket) out->push_back(std::move(row));
-  }
-  return Status::Ok();
+  return Status::FailedPrecondition(
+      "prepared query was not compiled by a shard of this engine");
 }
 
 Result<MaintenanceStats> ShardedEngine::Apply(const std::vector<Delta>& deltas,
@@ -435,7 +343,7 @@ Result<MaintenanceStats> ShardedEngine::Apply(const std::vector<Delta>& deltas,
 
   for (size_t s : touched) {
     Shard& shard = *shards_[s];
-    BQE_RETURN_IF_ERROR(shard.engine->Apply(split[s], policy).status());
+    BQE_RETURN_IF_ERROR(shard.engine->Apply(split[s], policy));
     shard.delta_batches_ctr.fetch_add(1, std::memory_order_relaxed);
     shard.deltas_routed_ctr.fetch_add(split[s].size(), std::memory_order_relaxed);
   }
@@ -480,50 +388,6 @@ CoherenceSnapshot ShardedEngine::Coherence() const {
   return out;
 }
 
-std::vector<Tuple> ShardedEngine::RoutedFetch(const AccessIndex& binding,
-                                              const Tuple& key) const {
-  const Shard& shard = *shards_[router_.ShardOfKey(key)];
-  const AccessIndex* idx =
-      shard.engine->indices().Get(binding.constraint().id);
-  return idx != nullptr ? idx->Fetch(key) : std::vector<Tuple>{};
-}
-
-bool ShardedEngine::RoutedPatchLog(const AccessIndex& binding,
-                                   std::vector<uint64_t>* stamp,
-                                   std::vector<BucketPatch>* out) const {
-  const int cid = binding.constraint().id;
-  if (stamp->empty()) {
-    stamp->reserve(shards_.size());
-    for (const std::unique_ptr<Shard>& s : shards_) {
-      const AccessIndex* idx = s->engine->indices().Get(cid);
-      stamp->push_back(idx != nullptr ? idx->patch_log_stamp() : 0);
-    }
-    return true;
-  }
-  if (stamp->size() != shards_.size()) return false;  // Foreign cursor.
-  bool ok = true;
-  std::vector<BucketPatch> shard_events;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const AccessIndex* idx = shards_[i]->engine->indices().Get(cid);
-    if (idx == nullptr) continue;
-    shard_events.clear();
-    const bool shard_ok = idx->PatchLogSince((*stamp)[i], &shard_events);
-    (*stamp)[i] = idx->patch_log_stamp();
-    if (!shard_ok) {
-      ok = false;  // Keep draining: every cursor must land at "now".
-      continue;
-    }
-    for (BucketPatch& ev : shard_events) {
-      // Ownership filter: only the owning shard's copy of this transition
-      // counts — a replica holding the row for a different constraint's
-      // key logs the same event against a bucket it is never probed for.
-      if (router_.ShardOfKey(ev.key) != i) continue;
-      out->push_back(std::move(ev));
-    }
-  }
-  return ok;
-}
-
 void ShardedEngine::SetFreezeHook(AccessIndex::FreezeHook hook) const {
   for (const std::unique_ptr<Shard>& s : shards_) {
     s->engine->indices().SetFreezeHook(hook);
@@ -538,6 +402,12 @@ ShardStatsSnapshot ShardedEngine::shard_stats(size_t shard) const {
   out.scatter_tasks = s.scatter_tasks_ctr.load(std::memory_order_relaxed);
   out.delta_batches = s.delta_batches_ctr.load(std::memory_order_relaxed);
   out.deltas_routed = s.deltas_routed_ctr.load(std::memory_order_relaxed);
+  return out;
+}
+
+std::vector<ShardStatsSnapshot> ShardedEngine::shard_stats() const {
+  std::vector<ShardStatsSnapshot> out;
+  for (size_t s = 0; s < shards_.size(); ++s) out.push_back(shard_stats(s));
   return out;
 }
 

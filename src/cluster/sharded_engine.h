@@ -35,16 +35,8 @@ struct ShardedOptions {
   bool fallback_replica = true;
 };
 
-/// Per-shard observability snapshot; see ShardedEngine::shard_stats().
-struct ShardStatsSnapshot {
-  CoherenceSnapshot coherence;   ///< This shard's (schema, data) epochs.
-  uint64_t scatter_tasks = 0;    ///< Scatter fetch tasks executed here.
-  uint64_t delta_batches = 0;    ///< Sub-batches routed here by Apply().
-  uint64_t deltas_routed = 0;    ///< Deltas those sub-batches carried.
-};
-
-/// N in-process BoundedEngine shards behind one engine-shaped facade:
-/// each shard owns a hash-partitioned replica of the database, its own
+/// N in-process BoundedEngine shards behind the Engine interface: each
+/// shard owns a hash-partitioned replica of the database, its own
 /// IndexSet, plan cache and writer-priority gate, so readers on different
 /// shards share nothing and a delta batch writer-locks only the shards
 /// whose slots it touches.
@@ -52,32 +44,31 @@ struct ShardStatsSnapshot {
 /// Partitioning invariant: a base row is replicated to every shard owning
 /// one of its fetch keys (ShardRouter::ShardsOfRow), so for any key the
 /// *owning* shard's AccessIndex bucket equals the single-engine bucket
-/// byte-for-byte — and scatter/gather execution, which only ever probes
-/// owners, returns row streams byte-identical to the single-engine row
-/// path (tests/sharded_engine_test.cc pins this differentially). Non-owner
-/// shards may hold partial buckets for foreign keys; they are never probed,
-/// and a partial bucket is a subset of the full one, so no shard ever sees
-/// a *larger* bucket than the constraint's bound admits.
+/// byte-for-byte. Non-owner shards may hold partial buckets for foreign
+/// keys; they are never probed, and a partial bucket is a subset of the
+/// full one, so no shard ever sees a *larger* bucket than the constraint's
+/// bound admits.
 ///
 /// Execution: planning (coverage, minimization, plan generation,
 /// compilation) runs on one fingerprint-routed shard — spreading plan-cache
-/// contention across shards — and the resulting BoundedPlan is interpreted
-/// centrally. Only kFetch steps scatter: distinct probe keys group by
-/// owning shard and fan out as one tagged WorkerPool task per engaged
-/// shard, each fetching under that shard's reader gate; results gather in
-/// key order. Cross-shard set ops (difference, dedupe-union, dedupe)
-/// finish centrally on encoded keys via the KeyTable/PartitionedKeyTable
-/// kernels, which agree with the row path's tuple-hash dedupe because the
-/// key codec makes Value-equality and byte-equality coincide.
+/// contention across shards — and every shard compiles against one routed
+/// FetchSource (fetch_source()). The compiled plan then runs through the
+/// planning shard's ordinary executors (row path, serial vectorized or
+/// morsel-parallel) and its fetch steps, the only data access a bounded
+/// plan has, read through the routed source: distinct probe keys group by
+/// owning shard, each engaged shard runs one task under its reader gate
+/// that copies its buckets out, and the buckets gather in key order. Since
+/// the owners' buckets equal the single engine's, every executor returns
+/// the single engine's row stream.
 ///
-/// Consistency: a direct caller gets per-fetch atomicity (each scatter task
-/// snapshots its shard under the shard gate; two fetch steps of one query
-/// may observe different epochs if a concurrent Apply lands between them).
-/// The serving layer's sharded mode (serve/QueryService) layers its global
+/// Consistency: a direct caller gets per-fetch, per-shard atomicity (each
+/// fetch task reads its shard under the shard gate; two fetch steps of one
+/// query may observe different epochs if a concurrent Apply lands between
+/// them). The serving layer (serve/QueryService) layers its global
 /// writer-priority gate above the shard gates — global first, then shards,
 /// so lock order is acyclic — restoring whole-query snapshot isolation
-/// exactly as in single-engine mode.
-class ShardedEngine {
+/// exactly as for a single engine.
+class ShardedEngine final : public Engine {
  public:
   /// Builds the shards: per shard a fresh Database holding its owned rows,
   /// an AccessSchema copy, a BoundedEngine with built indices and a gate;
@@ -86,37 +77,31 @@ class ShardedEngine {
   static Result<std::unique_ptr<ShardedEngine>> Create(
       const Database& db, const AccessSchema& schema, ShardedOptions opts);
 
+  ~ShardedEngine() override;
+
   /// Cached planning on the fingerprint-routed shard. The returned plan's
-  /// physical bindings refer to that shard's IndexSet; scatter execution
-  /// re-resolves indices per shard from the logical plan, and the IVM seam
-  /// (RoutedFetch) re-routes its fetches, so the bindings never leak
-  /// cross-shard.
+  /// bindings refer to that shard's IndexSet but only supply metadata: its
+  /// fetches read through the routed source.
   Result<std::shared_ptr<const PreparedQuery>> PrepareCompiled(
-      const RaExprPtr& query, bool* cache_hit = nullptr) const;
+      const RaExprPtr& query, bool* cache_hit = nullptr) const override;
 
   /// StillCoherent on the shard that prepared `fingerprint`.
   bool StillCoherent(const std::string& fingerprint,
-                     const PreparedQuery& pq) const;
+                     const PreparedQuery& pq) const override;
 
-  /// Full pipeline: plan on the routed shard, scatter/gather when covered,
+  /// Full pipeline: plan on the routed shard and execute when covered,
   /// fallback replica otherwise (NotCovered when the replica is off).
-  Result<ExecuteResult> Execute(const RaExprPtr& query) const;
+  Result<ExecuteResult> Execute(const RaExprPtr& query) const override;
 
-  /// Scatter/gather execution of an already prepared covered query.
-  /// `task_tag` labels the scatter tasks in the shared WorkerPool;
-  /// `num_threads` caps concurrent scatter tasks (0 = auto). Fails with
-  /// FailedPrecondition for non-covered preparations.
+  /// The planning shard's ExecutePrepared: the shard engine's executors
+  /// and options, its fetches routed to the owning shards. `num_threads`
+  /// (0 = the shard engines' exec_threads) also caps the concurrent shard
+  /// tasks of one fetch step. Fails with FailedPrecondition for
+  /// non-covered preparations and for plans no shard of this engine
+  /// compiled.
   Result<ExecuteResult> ExecutePrepared(const PreparedQuery& pq,
                                         uint64_t task_tag = 0,
-                                        size_t num_threads = 0) const;
-
-  /// Interprets a covered logical plan through the shards (the scatter/
-  /// gather core of ExecutePrepared, exposed for differential tests that
-  /// hand-build plans).
-  Result<Table> ExecutePlanScattered(const BoundedPlan& plan,
-                                     uint64_t task_tag = 0,
-                                     size_t num_threads = 0,
-                                     ExecStats* stats = nullptr) const;
+                                        size_t num_threads = 0) const override;
 
   /// Splits the batch by slot, writer-locks exactly the touched shards (in
   /// ascending shard order, then the replica — acyclic, so concurrent
@@ -131,59 +116,45 @@ class ShardedEngine {
   /// as an error and the epochs still advance coherently).
   Result<MaintenanceStats> Apply(
       const std::vector<Delta>& deltas,
-      OverflowPolicy policy = OverflowPolicy::kGrow);
+      OverflowPolicy policy = OverflowPolicy::kGrow) override;
 
   /// The batch behind the latest data-epoch bump (the cleanly applied
   /// *logical* batch, not a per-shard split). Same external-serialization
   /// contract as BoundedEngine::last_applied().
-  const AppliedBatch& last_applied() const { return last_applied_; }
+  const AppliedBatch& last_applied() const override { return last_applied_; }
 
   /// Merged lock-free coherence: the component-wise *sum* of every shard's
   /// (and the replica's) snapshot. Each component is monotone
   /// non-decreasing, so the sum changes iff some component changed — a
   /// valid result-cache key with the same torn-pair-misses-never-serves-
   /// stale property as the single-engine snapshot.
-  CoherenceSnapshot Coherence() const;
+  CoherenceSnapshot Coherence() const override;
 
-  /// The fetch seam for result maintenance (exec/ivm): fetches `key` from
-  /// the *owning shard's* index for the binding's constraint, so handles
-  /// built against one shard's plan refresh with exactly the rows scatter
-  /// execution would have gathered. Callers must hold the serving
-  /// discipline's global gate (shared or exclusive), which serializes
-  /// against Apply(); no shard gate is taken here.
-  std::vector<Tuple> RoutedFetch(const AccessIndex& binding,
-                                 const Tuple& key) const;
-
-  /// The patch-log seam for result maintenance (exec/ivm::IndexPatchLogFn),
-  /// sibling of RoutedFetch: drains every shard's bucket patch log for
-  /// `binding`'s constraint since the per-shard cursor in `*stamp`
-  /// (initializing the cursor and emitting nothing when it is empty) and
-  /// appends the events to `out`. Events are filtered to those whose bucket
+  /// The routed source every shard compiles against. Its PatchLogSince
+  /// drains every shard's bucket patch log for the binding's constraint
+  /// (one cursor element per shard) and keeps only the events whose bucket
   /// key the logging shard *owns*: replication lands a row in every shard
-  /// holding one of its fetch keys, so a non-owner replica's index logs the
-  /// same distinct-entry transition for a foreign key and unfiltered
-  /// concatenation would double-count the owner's event. Advances every
-  /// engaged cursor to "now" even on failure; returns false when any
-  /// shard's log was truncated by a budget-forced mirror rebuild (the
-  /// consumer then re-resolves wholesale via RoutedFetch). Same gate
-  /// contract as RoutedFetch: callers hold the serving discipline's global
+  /// holding one of its fetch keys, so a non-owner replica logs the same
+  /// distinct-entry transition for a foreign key and unfiltered
+  /// concatenation would double-count the owner's event. The patch-log read
+  /// takes no shard gate: callers hold the serving discipline's global
   /// gate, which serializes against Apply().
-  bool RoutedPatchLog(const AccessIndex& binding, std::vector<uint64_t>* stamp,
-                      std::vector<BucketPatch>* out) const;
+  const FetchSource& fetch_source() const;
 
   /// Installs the hook on every shard's IndexSet (and the replica's).
   /// Counts as maintenance: externally serialize like a writer.
-  void SetFreezeHook(AccessIndex::FreezeHook hook) const;
+  void SetFreezeHook(AccessIndex::FreezeHook hook) const override;
 
   size_t num_shards() const { return shards_.size(); }
   const ShardRouter& router() const { return router_; }
 
   /// Per-shard counters + epochs; lock-free.
   ShardStatsSnapshot shard_stats(size_t shard) const;
+  std::vector<ShardStatsSnapshot> shard_stats() const override;
 
   /// Plan-cache counters folded over all shards (replica excluded: its
   /// cache only serves non-covered fallbacks).
-  PlanCacheStats plan_cache_stats() const;
+  PlanCacheStats plan_cache_stats() const override;
 
   /// Direct shard access for tests/diagnostics.
   const BoundedEngine& shard_engine(size_t shard) const {
@@ -199,30 +170,25 @@ class ShardedEngine {
   struct Shard {
     std::unique_ptr<Database> db;
     std::unique_ptr<BoundedEngine> engine;
-    /// Readers (scatter tasks, replica fallbacks) take the shared side;
-    /// Apply takes the exclusive side of every *touched* shard.
+    /// Readers (routed fetch tasks, replica fallbacks) take the shared
+    /// side; Apply takes the exclusive side of every *touched* shard.
     mutable WriterPriorityGate gate;
-    /// Mutable: const read paths (scatter tasks) count themselves.
+    /// Mutable: const read paths (fetch tasks) count themselves.
     mutable std::atomic<uint64_t> scatter_tasks_ctr{0};
     std::atomic<uint64_t> delta_batches_ctr{0};
     std::atomic<uint64_t> deltas_routed_ctr{0};
   };
+  class RoutedSource;  ///< The shards' FetchSource; defined in the .cc.
 
-  ShardedEngine() = default;
+  ShardedEngine();
 
   size_t PlanningShard(const std::string& fingerprint) const;
 
-  /// The scatter/gather kFetch step: distinct input keys in first-seen
-  /// order, grouped by owning shard, fetched under each engaged shard's
-  /// reader gate (one tagged WorkerPool task per shard), gathered in key
-  /// order into `out`.
-  Status ScatterFetch(const BoundedPlan& plan, const PlanStep& s,
-                      const std::vector<Tuple>& input, uint64_t task_tag,
-                      size_t num_threads, ExecStats* st,
-                      std::vector<Tuple>* out) const;
-
   ShardRouter router_;
   ShardedOptions opts_;
+  /// Declared before the shards so it outlives every shard engine (their
+  /// compiled plans point at it).
+  std::unique_ptr<RoutedSource> source_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<Shard> replica_;  ///< Full copy; null when disabled.
   AppliedBatch last_applied_;

@@ -42,8 +42,8 @@ std::string BoundedEngine::QueryFingerprint(const RaExprPtr& query) {
 }
 
 BoundedEngine::BoundedEngine(Database* db, AccessSchema schema,
-                             EngineOptions options)
-    : db_(db), schema_(std::move(schema)), options_(options) {}
+                             EngineOptions options, const FetchSource& source)
+    : db_(db), schema_(std::move(schema)), options_(options), source_(&source) {}
 
 Status BoundedEngine::BuildIndices() {
   BQE_ASSIGN_OR_RETURN(ValidationReport report, Validate(*db_, schema_));
@@ -144,8 +144,9 @@ Result<std::shared_ptr<const PreparedQuery>> BoundedEngine::PrepareCompiled(
   auto pq = std::make_shared<PreparedQuery>();
   BQE_ASSIGN_OR_RETURN(pq->info, Prepare(query));
   if (pq->info.covered) {
-    BQE_ASSIGN_OR_RETURN(PhysicalPlan pp,
-                         PhysicalPlan::Compile(pq->info.plan, indices_));
+    BQE_ASSIGN_OR_RETURN(
+        PhysicalPlan pp,
+        PhysicalPlan::Compile(pq->info.plan, indices_, *source_));
     pq->physical = std::make_shared<const PhysicalPlan>(std::move(pp));
     // The plan's read set over the index layer: per-relation coherence
     // signals for schema-granular re-validation. Only needed when the

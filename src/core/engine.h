@@ -6,6 +6,8 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "baseline/eval.h"
 #include "common/mutex.h"
@@ -172,6 +174,66 @@ struct ExecuteResult {
   BaselineStats baseline_stats;  ///< Valid otherwise.
 };
 
+/// Per-shard observability snapshot of a sharded engine (see
+/// Engine::shard_stats()).
+struct ShardStatsSnapshot {
+  CoherenceSnapshot coherence;   ///< This shard's (schema, data) epochs.
+  uint64_t scatter_tasks = 0;    ///< Routed fetch tasks executed here.
+  uint64_t delta_batches = 0;    ///< Sub-batches routed here by Apply().
+  uint64_t deltas_routed = 0;    ///< Deltas those sub-batches carried.
+};
+
+/// The engine surface the serving layer (serve/QueryService) drives: one
+/// BoundedEngine, or N of them behind cluster::ShardedEngine. Both plan
+/// through BoundedEngine and execute compiled plans through the same
+/// executors; they differ only in the FetchSource their plans read.
+class Engine {
+ public:
+  virtual ~Engine() = default;
+
+  /// Cached C2-C5 + physical compilation; see BoundedEngine.
+  virtual Result<std::shared_ptr<const PreparedQuery>> PrepareCompiled(
+      const RaExprPtr& query, bool* cache_hit = nullptr) const = 0;
+
+  /// True when `pq`, prepared for `fingerprint`, would still be served
+  /// from the plan cache. Lock-free; callers hold the read side of the
+  /// serving discipline.
+  virtual bool StillCoherent(const std::string& fingerprint,
+                             const PreparedQuery& pq) const = 0;
+
+  /// Executes a covered prepared query; FailedPrecondition otherwise.
+  /// `task_tag` labels its WorkerPool work; `num_threads` (0 = the
+  /// engine's own default) caps its workers.
+  virtual Result<ExecuteResult> ExecutePrepared(
+      const PreparedQuery& pq, uint64_t task_tag = 0,
+      size_t num_threads = 0) const = 0;
+
+  /// Full pipeline, including the non-covered fallback.
+  virtual Result<ExecuteResult> Execute(const RaExprPtr& query) const = 0;
+
+  /// Applies a delta batch; externally serialized like any writer.
+  virtual Result<MaintenanceStats> Apply(
+      const std::vector<Delta>& deltas,
+      OverflowPolicy policy = OverflowPolicy::kGrow) = 0;
+
+  /// The batch behind the latest data-epoch bump; read under the same
+  /// external writer serialization as Apply().
+  virtual const AppliedBatch& last_applied() const = 0;
+
+  /// Lock-free (schema, data) epoch pair for result caches.
+  virtual CoherenceSnapshot Coherence() const = 0;
+
+  /// Installs the freeze hook on every index the engine's plans read.
+  /// Counts as maintenance: externally serialize like a writer.
+  virtual void SetFreezeHook(AccessIndex::FreezeHook hook) const = 0;
+
+  /// Lock-free plan-cache counters.
+  virtual PlanCacheStats plan_cache_stats() const = 0;
+
+  /// Per-shard counters and epochs, one per shard; empty for one engine.
+  virtual std::vector<ShardStatsSnapshot> shard_stats() const { return {}; }
+};
+
 /// The bounded-evaluation framework of Section 7: owns the access schema A
 /// and its indices I_A over one database, checks coverage (C2), minimizes
 /// access (C3), generates plans (C4), translates them to SQL (C5), and
@@ -196,9 +258,13 @@ struct ExecuteResult {
 /// are safe — the plan cache is internally locked and lazy index freezes
 /// are serialized per index. The mutating calls (BuildIndices/Apply) must
 /// be externally serialized against everything else, like any writer.
-class BoundedEngine {
+class BoundedEngine : public Engine {
  public:
-  BoundedEngine(Database* db, AccessSchema schema, EngineOptions options = {});
+  /// `source` is where the compiled plans' fetch steps read (it must
+  /// outlive the engine); the default reads this engine's own indices. A
+  /// sharded engine passes its routed source to its shards.
+  BoundedEngine(Database* db, AccessSchema schema, EngineOptions options = {},
+                const FetchSource& source = LocalFetchSource());
 
   /// C1: builds all indices. Must be called before Prepare/Execute.
   /// Fails with ConstraintViolation if the data does not satisfy A.
@@ -210,7 +276,7 @@ class BoundedEngine {
   /// Cached C2-C5 + physical compilation. `cache_hit` (optional) reports
   /// whether the cached entry was reused.
   Result<std::shared_ptr<const PreparedQuery>> PrepareCompiled(
-      const RaExprPtr& query, bool* cache_hit = nullptr) const;
+      const RaExprPtr& query, bool* cache_hit = nullptr) const override;
 
   /// The plan-cache key of `query`: printed algebra form plus an exact
   /// type-tagged encoding of every predicate constant. Two queries with
@@ -222,7 +288,7 @@ class BoundedEngine {
 
   /// Full pipeline: bounded plan when covered (after optional rewriting),
   /// baseline otherwise.
-  Result<ExecuteResult> Execute(const RaExprPtr& query) const;
+  Result<ExecuteResult> Execute(const RaExprPtr& query) const override;
 
   /// Executes an already prepared — and possibly *pinned* — covered query
   /// against the live indices, never touching the plan cache or its lock.
@@ -243,7 +309,7 @@ class BoundedEngine {
   /// request onto the full pool.
   Result<ExecuteResult> ExecutePrepared(const PreparedQuery& pq,
                                         uint64_t task_tag = 0,
-                                        size_t num_threads = 0) const;
+                                        size_t num_threads = 0) const override;
 
   /// True when a PreparedQuery previously returned by PrepareCompiled()
   /// would still be served from the cache: the bounds/schema epoch is
@@ -253,21 +319,26 @@ class BoundedEngine {
   bool StillCoherent(const PreparedQuery& pq) const {
     return IsCoherent(pq, SchemaEpoch());
   }
+  bool StillCoherent(const std::string& /*fingerprint*/,
+                     const PreparedQuery& pq) const override {
+    return StillCoherent(pq);
+  }
 
   /// Incremental maintenance of D, A and I_A (Proposition 12). Bumps the
   /// *data* epoch — and only when something was actually applied (a cleanly
   /// rejected batch leaves all cached state coherent). Cached plans stay
   /// valid and keep serving hits; they re-prepare only if the batch changed
   /// a bound (kGrow) or blew a bound index's mirror patch budget.
-  Result<MaintenanceStats> Apply(const std::vector<Delta>& deltas,
-                                 OverflowPolicy policy = OverflowPolicy::kGrow);
+  Result<MaintenanceStats> Apply(
+      const std::vector<Delta>& deltas,
+      OverflowPolicy policy = OverflowPolicy::kGrow) override;
 
   /// The applied batch behind the latest data-epoch bump (empty with epoch
   /// 0 before the first one). Plain state written by Apply(): read it under
   /// the same external writer serialization as Apply itself — the serving
   /// layer does, inside the exclusive writer-gate hold of the batch it is
   /// routing into result maintenance.
-  const AppliedBatch& last_applied() const { return last_applied_; }
+  const AppliedBatch& last_applied() const override { return last_applied_; }
 
   const AccessSchema& schema() const { return schema_; }
   const IndexSet& indices() const { return indices_; }
@@ -297,14 +368,18 @@ class BoundedEngine {
   /// any const engine call racing a writer — this reads only atomics the
   /// mutating calls stamp on completion, so it is safe at serving-layer
   /// admission time concurrently with BuildIndices()/Apply().
-  CoherenceSnapshot Coherence() const {
+  CoherenceSnapshot Coherence() const override {
     return CoherenceSnapshot{schema_stamp_.load(std::memory_order_acquire),
                              data_epoch_.load(std::memory_order_acquire)};
   }
 
+  void SetFreezeHook(AccessIndex::FreezeHook hook) const override {
+    indices_.SetFreezeHook(std::move(hook));
+  }
+
   /// Lock-free counter snapshot; see PlanCacheStats. Safe to poll
   /// concurrently with Execute/PrepareCompiled on other threads.
-  PlanCacheStats plan_cache_stats() const;
+  PlanCacheStats plan_cache_stats() const override;
   size_t plan_cache_size() const;
   void ClearPlanCache();
 
@@ -319,6 +394,7 @@ class BoundedEngine {
   Database* db_;
   AccessSchema schema_;
   EngineOptions options_;
+  const FetchSource* source_;  ///< Where compiled plans read; see ctor.
   IndexSet indices_;
   bool indices_built_ = false;
   uint64_t schema_epoch_ = 0;  ///< Bumped by BuildIndices().

@@ -11,20 +11,6 @@ namespace bqe {
 
 namespace {
 
-/// Resolves a fetch step to the index of its (source) constraint.
-Result<const AccessIndex*> ResolveFetchIndex(const BoundedPlan& plan,
-                                             const PlanStep& s,
-                                             const IndexSet& indices) {
-  const AccessConstraint& c = plan.actualized.at(s.constraint_id);
-  int source = c.source_id >= 0 ? c.source_id : c.id;
-  const AccessIndex* idx = indices.Get(source);
-  if (idx == nullptr) {
-    return Status::Internal(StrCat("no index for constraint ", c.ToString(),
-                                   " (source id ", source, ")"));
-  }
-  return idx;
-}
-
 Result<int> CheckStepRef(int ref, size_t current) {
   if (ref < 0 || static_cast<size_t>(ref) >= current) {
     return Status::Internal(
@@ -55,6 +41,19 @@ bool EvalPlanPredicate(const Tuple& row, const PlanPredicate& p) {
 
 }  // namespace
 
+Result<const AccessIndex*> ResolveFetchIndex(const BoundedPlan& plan,
+                                             const PlanStep& s,
+                                             const IndexSet& indices) {
+  const AccessConstraint& c = plan.actualized.at(s.constraint_id);
+  int source = c.source_id >= 0 ? c.source_id : c.id;
+  const AccessIndex* idx = indices.Get(source);
+  if (idx == nullptr) {
+    return Status::Internal(StrCat("no index for constraint ", c.ToString(),
+                                   " (source id ", source, ")"));
+  }
+  return idx;
+}
+
 Result<std::vector<std::vector<ValueType>>> DerivePlanStepTypes(
     const BoundedPlan& plan, const IndexSet& indices) {
   std::vector<std::vector<ValueType>> types(plan.steps.size());
@@ -70,6 +69,7 @@ Result<std::vector<std::vector<ValueType>>> DerivePlanStepTypes(
         t.assign(s.col_names.size(), ValueType::kNull);
         break;
       case PlanStep::Kind::kFetch: {
+        BQE_RETURN_IF_ERROR(CheckStepRef(s.input, i));
         BQE_ASSIGN_OR_RETURN(const AccessIndex* idx,
                              ResolveFetchIndex(plan, s, indices));
         t = idx->output_types();
@@ -134,72 +134,50 @@ Result<Table> ExecutePlan(const BoundedPlan& plan, const IndexSet& indices,
   return ExecutePhysicalPlan(pp, stats, opts);
 }
 
-namespace {
-
-/// Output schema from plan metadata: names from the plan, types from the
-/// statically derived output-step types (empty results keep real types).
-RelationSchema OutputSchema(const BoundedPlan& plan,
-                            const std::vector<ValueType>& out_types) {
-  std::vector<Attribute> attrs;
-  attrs.reserve(plan.output_names.size());
-  for (size_t c = 0; c < plan.output_names.size(); ++c) {
-    ValueType t = c < out_types.size() ? out_types[c] : ValueType::kNull;
-    attrs.push_back(Attribute{plan.output_names[c], t});
-  }
-  return RelationSchema("result", std::move(attrs));
-}
-
-}  // namespace
-
 Result<Table> ExecutePlanRowAtATime(const BoundedPlan& plan,
                                     const IndexSet& indices, ExecStats* stats) {
-  struct StepData {
-    std::vector<Tuple> rows;
-  };
-  std::vector<StepData> results(plan.steps.size());
+  BQE_ASSIGN_OR_RETURN(PhysicalPlan pp, PhysicalPlan::Compile(plan, indices));
+  return ExecutePlanRowAtATime(pp, stats);
+}
+
+Result<Table> ExecutePlanRowAtATime(const PhysicalPlan& plan,
+                                    ExecStats* stats) {
   ExecStats local;
   ExecStats* st = stats != nullptr ? stats : &local;
-  if (plan.output < 0 || plan.output >= static_cast<int>(plan.steps.size())) {
-    return Status::Internal("plan has no output step");
-  }
-  BQE_ASSIGN_OR_RETURN(std::vector<std::vector<ValueType>> types,
-                       DerivePlanStepTypes(plan, indices));
-
-  for (size_t i = 0; i < plan.steps.size(); ++i) {
-    const PlanStep& s = plan.steps[i];
-    StepData& out = results[i];
+  const std::vector<PhysicalOp>& ops = plan.ops();
+  std::vector<std::vector<Tuple>> results(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const PhysicalOp& s = ops[i];
+    std::vector<Tuple>& out = results[i];
     switch (s.kind) {
       case PlanStep::Kind::kConst:
-        out.rows.push_back(s.row);
+        out.push_back(s.const_row);
         break;
       case PlanStep::Kind::kEmpty:
         break;
       case PlanStep::Kind::kFetch: {
-        BQE_ASSIGN_OR_RETURN(const AccessIndex* idx,
-                             ResolveFetchIndex(plan, s, indices));
         // Probe with the distinct keys of the input.
-        std::vector<Tuple> keys = results[static_cast<size_t>(s.input)].rows;
+        std::vector<Tuple> keys = results[static_cast<size_t>(s.input)];
         Dedupe(&keys);
-        for (const Tuple& key : keys) {
-          ++st->fetch_probes;
-          std::vector<Tuple> fetched = idx->Fetch(key, &st->tuples_fetched);
-          for (Tuple& row : fetched) out.rows.push_back(std::move(row));
+        st->fetch_probes += keys.size();
+        for (std::vector<Tuple>& bucket :
+             plan.source().FetchRows(*s.index, keys)) {
+          st->tuples_fetched += bucket.size();
+          for (Tuple& row : bucket) out.push_back(std::move(row));
         }
         break;
       }
       case PlanStep::Kind::kProject: {
-        const StepData& in = results[static_cast<size_t>(s.input)];
-        out.rows.reserve(in.rows.size());
-        for (const Tuple& row : in.rows) {
-          out.rows.push_back(ProjectTuple(row, s.cols));
-        }
-        if (s.dedupe) Dedupe(&out.rows);
+        const std::vector<Tuple>& in = results[static_cast<size_t>(s.input)];
+        out.reserve(in.size());
+        for (const Tuple& row : in) out.push_back(ProjectTuple(row, s.cols));
+        if (s.dedupe) Dedupe(&out);
         break;
       }
       case PlanStep::Kind::kFilter: {
-        const StepData& in = results[static_cast<size_t>(s.input)];
-        out.rows.reserve(in.rows.size());
-        for (const Tuple& row : in.rows) {
+        const std::vector<Tuple>& in = results[static_cast<size_t>(s.input)];
+        out.reserve(in.size());
+        for (const Tuple& row : in) {
           bool keep = true;
           for (const PlanPredicate& p : s.preds) {
             if (!EvalPlanPredicate(row, p)) {
@@ -207,78 +185,72 @@ Result<Table> ExecutePlanRowAtATime(const BoundedPlan& plan,
               break;
             }
           }
-          if (keep) out.rows.push_back(row);
+          if (keep) out.push_back(row);
         }
         break;
       }
       case PlanStep::Kind::kProduct: {
-        const StepData& l = results[static_cast<size_t>(s.left)];
-        const StepData& r = results[static_cast<size_t>(s.right)];
+        const std::vector<Tuple>& l = results[static_cast<size_t>(s.left)];
+        const std::vector<Tuple>& r = results[static_cast<size_t>(s.right)];
         // Cap the reservation: l*r can overflow size_t or exhaust memory on
         // large inputs; the vector grows on demand past the cap.
         constexpr size_t kMaxReserve = 1u << 20;
-        size_t ln = l.rows.size(), rn = r.rows.size();
-        out.rows.reserve(rn != 0 && ln > kMaxReserve / rn ? kMaxReserve
-                                                          : ln * rn);
-        for (const Tuple& a : l.rows) {
-          for (const Tuple& b : r.rows) {
+        size_t ln = l.size(), rn = r.size();
+        out.reserve(rn != 0 && ln > kMaxReserve / rn ? kMaxReserve : ln * rn);
+        for (const Tuple& a : l) {
+          for (const Tuple& b : r) {
             Tuple t = a;
             t.insert(t.end(), b.begin(), b.end());
-            out.rows.push_back(std::move(t));
+            out.push_back(std::move(t));
           }
         }
         break;
       }
       case PlanStep::Kind::kJoin: {
-        const StepData& l = results[static_cast<size_t>(s.left)];
-        const StepData& r = results[static_cast<size_t>(s.right)];
-        std::vector<int> lk, rk;
-        for (auto [a, b] : s.join_cols) {
-          lk.push_back(a);
-          rk.push_back(b);
-        }
+        const std::vector<Tuple>& l = results[static_cast<size_t>(s.left)];
+        const std::vector<Tuple>& r = results[static_cast<size_t>(s.right)];
         std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash> ht;
-        ht.reserve(r.rows.size());
-        for (const Tuple& b : r.rows) ht[ProjectTuple(b, rk)].push_back(&b);
-        for (const Tuple& a : l.rows) {
-          auto it = ht.find(ProjectTuple(a, lk));
+        ht.reserve(r.size());
+        for (const Tuple& b : r) ht[ProjectTuple(b, s.rkey)].push_back(&b);
+        for (const Tuple& a : l) {
+          auto it = ht.find(ProjectTuple(a, s.lkey));
           if (it == ht.end()) continue;
           for (const Tuple* b : it->second) {
             Tuple t = a;
             t.insert(t.end(), b->begin(), b->end());
-            out.rows.push_back(std::move(t));
+            out.push_back(std::move(t));
           }
         }
         break;
       }
       case PlanStep::Kind::kUnion: {
-        out.rows = results[static_cast<size_t>(s.left)].rows;
-        const StepData& r = results[static_cast<size_t>(s.right)];
-        out.rows.insert(out.rows.end(), r.rows.begin(), r.rows.end());
-        Dedupe(&out.rows);
+        out = results[static_cast<size_t>(s.left)];
+        const std::vector<Tuple>& r = results[static_cast<size_t>(s.right)];
+        out.insert(out.end(), r.begin(), r.end());
+        Dedupe(&out);
         break;
       }
       case PlanStep::Kind::kDiff: {
-        const StepData& l = results[static_cast<size_t>(s.left)];
-        const StepData& r = results[static_cast<size_t>(s.right)];
-        std::unordered_set<Tuple, TupleHash> right(r.rows.begin(),
-                                                   r.rows.end());
-        for (const Tuple& row : l.rows) {
-          if (right.count(row) == 0) out.rows.push_back(row);
+        const std::vector<Tuple>& l = results[static_cast<size_t>(s.left)];
+        const std::vector<Tuple>& r = results[static_cast<size_t>(s.right)];
+        std::unordered_set<Tuple, TupleHash> right(r.begin(), r.end());
+        for (const Tuple& row : l) {
+          if (right.count(row) == 0) out.push_back(row);
         }
-        Dedupe(&out.rows);
+        Dedupe(&out);
         break;
       }
     }
-    st->intermediate_rows += out.rows.size();
+    st->intermediate_rows += out.size();
     OpStats& os = st->ForKind(s.kind);
     ++os.calls;
-    os.rows_out += out.rows.size();
+    os.rows_out += out.size();
   }
 
-  const StepData& last = results[static_cast<size_t>(plan.output)];
-  Table out(OutputSchema(plan, types[static_cast<size_t>(plan.output)]));
-  for (const Tuple& row : last.rows) out.InsertUnchecked(row);
+  Table out(plan.output_schema());
+  for (const Tuple& row : results[static_cast<size_t>(plan.output())]) {
+    out.InsertUnchecked(row);
+  }
   st->output_rows = out.NumRows();
   return out;
 }

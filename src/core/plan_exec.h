@@ -10,15 +10,22 @@
 #include "core/plan.h"
 #include "exec/column_batch.h"
 #include "exec/exec_stats.h"
+#include "exec/physical_plan.h"
 #include "storage/table.h"
 
 namespace bqe {
+
+/// Resolves a fetch step to the index of its (source) constraint.
+Result<const AccessIndex*> ResolveFetchIndex(const BoundedPlan& plan,
+                                             const PlanStep& s,
+                                             const IndexSet& indices);
 
 /// Derives the static column types of every plan step from plan/schema
 /// metadata alone: fetch steps from the indexed relation's attribute types,
 /// const steps from their literal types, and the rest by propagation. This
 /// is how the compiled executor types its batches and its output table —
-/// empty results get real attribute types, not kNull.
+/// empty results get real attribute types, not kNull. Validates every step
+/// reference and fetch binding on the way.
 Result<std::vector<std::vector<ValueType>>> DerivePlanStepTypes(
     const BoundedPlan& plan, const IndexSet& indices);
 
@@ -41,9 +48,15 @@ Result<Table> ExecutePlan(const BoundedPlan& plan, const IndexSet& indices,
 /// The pre-vectorization executor: one boxed Tuple at a time, TupleHash for
 /// joins and dedupe. Kept as the comparison baseline for benchmarks, as a
 /// second oracle in differential tests, and as the adaptive fast path for
-/// micro-scale plans (ExecOptions::row_path_threshold).
+/// micro-scale plans (ExecOptions::row_path_threshold). Compiles the plan
+/// against `indices` and runs the overload below.
 Result<Table> ExecutePlanRowAtATime(const BoundedPlan& plan,
                                     const IndexSet& indices,
+                                    ExecStats* stats = nullptr);
+
+/// The row-at-a-time interpreter over a compiled plan's operators; fetch
+/// steps read through the plan's FetchSource.
+Result<Table> ExecutePlanRowAtATime(const PhysicalPlan& plan,
                                     ExecStats* stats = nullptr);
 
 }  // namespace bqe

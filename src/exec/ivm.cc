@@ -156,8 +156,7 @@ struct PlanMaintenance::OpState {
   std::unordered_map<std::string, FetchEntry> probed;          // kFetch.
   /// Bucket patch-log cursor for this op's index binding (kFetch): where
   /// the last Build/Refresh left off. Opaque to this layer beyond "empty
-  /// means uninitialized" — one element for a direct binding, one per
-  /// shard for a routed one; see IndexPatchLogFn.
+  /// means uninitialized"; see FetchSource::PatchLogSince.
   std::vector<uint64_t> log_stamp;                             // kFetch.
   BagIndex left, right;                                        // kJoin/kProduct.
   std::unordered_map<std::string, CountEntry> counts;          // dedupe/kUnion.
@@ -168,15 +167,12 @@ PlanMaintenance::~PlanMaintenance() = default;
 
 std::unique_ptr<PlanMaintenance> PlanMaintenance::Build(
     const WriterPriorityGate& gate, std::shared_ptr<const PhysicalPlan> plan,
-    const Table& result, size_t max_bytes, bool* size_exceeded,
-    IndexFetchFn fetch, IndexPatchLogFn log) {
+    const Table& result, size_t max_bytes, bool* size_exceeded) {
   (void)gate;  // Capability parameter: the REQUIRES_SHARED contract is it.
   if (size_exceeded != nullptr) *size_exceeded = false;
   if (plan == nullptr) return nullptr;
   std::unique_ptr<PlanMaintenance> m(new PlanMaintenance());
   m->plan_ = std::move(plan);
-  m->fetch_ = std::move(fetch);
-  m->log_ = std::move(log);
   const std::vector<PhysicalOp>& ops = m->plan_->ops();
   const int output = m->plan_->output();
   if (output < 0 || output >= static_cast<int>(ops.size())) return nullptr;
@@ -207,9 +203,14 @@ std::unique_ptr<PlanMaintenance> PlanMaintenance::Build(
         // Stamp the index's bucket patch log at the retained buckets'
         // resolution point: Refresh() replays exactly the events logged
         // after this onto them.
-        if (!m->LogVia(*op.index, &st.log_stamp, nullptr)) return nullptr;
+        const FetchSource& source = m->plan_->source();
+        if (!source.PatchLogSince(*op.index, &st.log_stamp, nullptr)) {
+          return nullptr;
+        }
         // The fetch step probes with the *distinct* input rows; retain each
         // key's multiplicity so input deltas only matter on 0 <-> 1.
+        std::vector<FetchEntry*> probed;
+        std::vector<Tuple> keys;
         for (const Tuple& key : rows[static_cast<size_t>(op.input)]) {
           if (*bytes > max_bytes) break;
           auto [it, fresh] = st.probed.try_emplace(Enc(key));
@@ -221,10 +222,16 @@ std::unique_ptr<PlanMaintenance> PlanMaintenance::Build(
           e.key = key;
           e.count = 1;
           *bytes += TupleBytes(key) + kEntryOverhead;
-          for (Tuple& r : m->FetchVia(*op.index, key)) {
+          probed.push_back(&e);
+          keys.push_back(key);
+        }
+        std::vector<std::vector<Tuple>> buckets =
+            source.FetchRows(*op.index, keys);
+        for (size_t k = 0; k < probed.size() && *bytes <= max_bytes; ++k) {
+          for (Tuple& r : buckets[k]) {
             *bytes += TupleBytes(r) + kEntryOverhead;
             out.push_back(r);
-            e.bucket.emplace(Enc(r), std::move(r));
+            probed[k]->bucket.emplace(Enc(r), std::move(r));
           }
         }
         break;
@@ -326,7 +333,8 @@ std::unique_ptr<PlanMaintenance> PlanMaintenance::Build(
     // not pay the rest of the replay or the verification sort. The heavy
     // per-row accumulators (fetch buckets, join bags) also break out of
     // their own loops on the same condition, so the overshoot past
-    // `max_bytes` is at most one retained entry.
+    // `max_bytes` is at most one retained entry (a fetch step still reads
+    // its distinct keys' buckets in one source call before retaining them).
     if (m->approx_bytes_ > max_bytes) {
       if (size_exceeded != nullptr) *size_exceeded = true;
       return nullptr;
@@ -410,6 +418,7 @@ RefreshOutcome PlanMaintenance::Refresh(
           break;
         case PlanStep::Kind::kFetch: {
           const SignedRows& in = dio[static_cast<size_t>(op.input)];
+          const FetchSource& source = plan_->source();
           // Input-side key transitions first. A key freshly probed here
           // resolves against the live *post-batch* index, so the log
           // replay below must skip its events — they are already folded
@@ -428,6 +437,8 @@ RefreshOutcome PlanMaintenance::Refresh(
               st.probed.erase(it);
             }
           }
+          std::vector<FetchEntry*> probed;
+          std::vector<Tuple> keys;
           for (const Tuple& key : in.plus) {
             std::string ek = Enc(key);
             auto [it, fresh] = st.probed.try_emplace(ek);
@@ -439,12 +450,18 @@ RefreshOutcome PlanMaintenance::Refresh(
             e.key = key;
             e.count = 1;
             *bytes += TupleBytes(key) + kEntryOverhead;
-            for (Tuple& r : FetchVia(*op.index, key)) {
+            probed.push_back(&e);
+            keys.push_back(key);
+            fresh_keys.insert(std::move(ek));
+          }
+          std::vector<std::vector<Tuple>> buckets =
+              source.FetchRows(*op.index, keys);
+          for (size_t k = 0; k < probed.size(); ++k) {
+            for (Tuple& r : buckets[k]) {
               *bytes += TupleBytes(r) + kEntryOverhead;
               out.plus.push_back(r);
-              e.bucket.emplace(Enc(r), std::move(r));
+              probed[k]->bucket.emplace(Enc(r), std::move(r));
             }
-            fresh_keys.insert(std::move(ek));
           }
           // Index-side: the mirror patch log *is* the signed bucket delta
           // of this batch — replay the events that land on retained keys,
@@ -457,7 +474,7 @@ RefreshOutcome PlanMaintenance::Refresh(
             break;
           }
           std::vector<BucketPatch> events;
-          if (LogVia(*op.index, &st.log_stamp, &events)) {
+          if (source.PatchLogSince(*op.index, &st.log_stamp, &events)) {
             for (BucketPatch& ev : events) {
               std::string ek = Enc(ev.key);
               auto it = st.probed.find(ek);
@@ -492,6 +509,8 @@ RefreshOutcome PlanMaintenance::Refresh(
             auto rel_it =
                 by_rel.find(std::string_view(op.index->constraint().rel));
             std::unordered_set<std::string> redone;
+            std::vector<FetchEntry*> stale;
+            std::vector<Tuple> stale_keys;
             for (const Delta* d : rel_it->second) {
               Tuple key = op.index->FetchKeyOf(d->row);
               std::string ek = Enc(key);
@@ -500,8 +519,13 @@ RefreshOutcome PlanMaintenance::Refresh(
               if (fresh_keys.count(ek) != 0) continue;  // Already post-batch.
               if (!redone.insert(ek).second) continue;  // One fetch per key.
               if (stats != nullptr) ++stats->bucket_refetch_fallbacks;
-              RediffBucket(&it->second, FetchVia(*op.index, key), &out,
-                           bytes);
+              stale.push_back(&it->second);
+              stale_keys.push_back(std::move(key));
+            }
+            std::vector<std::vector<Tuple>> now =
+                source.FetchRows(*op.index, stale_keys);
+            for (size_t k = 0; k < stale.size(); ++k) {
+              RediffBucket(stale[k], std::move(now[k]), &out, bytes);
             }
           }
           break;

@@ -178,77 +178,23 @@ void AppendDistinctRows(const ColumnBatch& b, const std::vector<int>& cols,
   w->WriteGather(b, sel.data(), sel.size(), cols);
 }
 
+BatchVec ConcatMorsels(std::vector<BatchVec>* morsels) {
+  if (morsels->size() == 1) return std::move(morsels->front());
+  BatchVec out;
+  size_t total = 0;
+  for (const BatchVec& m : *morsels) total += m.size();
+  out.reserve(total);
+  for (BatchVec& m : *morsels) {
+    for (ColumnBatch& b : m) out.push_back(std::move(b));
+  }
+  return out;
+}
+
 BatchVec ConstOp(const Tuple& row, const std::vector<ValueType>& types) {
   BatchVec out;
   ColumnBatch b(types);
   b.AppendTuple(row);
   out.push_back(std::move(b));
-  return out;
-}
-
-size_t CollectFetchSegments(const AccessIndex& idx, const BatchVec& input,
-                            std::vector<FrozenSegment>* segs,
-                            FetchCounters* counters) {
-  // The encoded input row *is* the encoded X-key, so the dedupe key doubles
-  // as the probe into the index's key-encoded columnar mirror.
-  size_t total = 0;
-  KeyTable seen(TotalRows(input));
-  KeyEncoder enc;
-  for (const ColumnBatch& b : input) {
-    enc.Encode(b, {});
-    for (size_t i = 0; i < b.num_rows(); ++i) {
-      std::string_view key = enc.Key(i);
-      bool inserted = false;
-      seen.InsertOrFind(key, &inserted);
-      if (!inserted) continue;  // Probe each distinct key once.
-      if (counters != nullptr) ++counters->probes;
-      FrozenSegment hit[2];
-      size_t ns = idx.FrozenProbe(key, hit);
-      for (size_t k = 0; k < ns; ++k) {
-        size_t rows = hit[k].NumRows();
-        if (rows == 0) continue;
-        total += rows;
-        if (counters != nullptr) counters->tuples_fetched += rows;
-        segs->push_back(hit[k]);
-      }
-    }
-  }
-  return total;
-}
-
-BatchVec FetchOp(const AccessIndex& idx, const BatchVec& input,
-                 size_t batch_size, FetchCounters* counters) {
-  // Serial fetch writes each hit bucket straight through the BatchWriter —
-  // no segment list materialization (that is CollectFetchSegments, the
-  // parallel executor's phase 1).
-  idx.EnsureFrozen();
-  BatchVec out;
-  BatchWriter w(idx.output_types(), batch_size, &out);
-  KeyTable seen(TotalRows(input));
-  KeyEncoder enc;
-  for (const ColumnBatch& b : input) {
-    enc.Encode(b, {});
-    for (size_t i = 0; i < b.num_rows(); ++i) {
-      std::string_view key = enc.Key(i);
-      bool inserted = false;
-      seen.InsertOrFind(key, &inserted);
-      if (!inserted) continue;  // Probe each distinct key once.
-      if (counters != nullptr) ++counters->probes;
-      FrozenSegment hit[2];
-      size_t ns = idx.FrozenProbe(key, hit);
-      for (size_t k = 0; k < ns; ++k) {
-        size_t rows = hit[k].NumRows();
-        if (rows == 0) continue;
-        if (counters != nullptr) counters->tuples_fetched += rows;
-        if (hit[k].rows != nullptr) {
-          w.WriteGather(*hit[k].batch, hit[k].rows, hit[k].n, {});
-        } else {
-          w.WriteGatherRange(*hit[k].batch, hit[k].begin, rows);
-        }
-      }
-    }
-  }
-  w.Finish();
   return out;
 }
 

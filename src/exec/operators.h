@@ -19,8 +19,6 @@ namespace bqe {
 /// stream is what is specified, not batch boundaries).
 ///
 /// Contracts (matching the row-at-a-time executor exactly):
-///   - FetchOp probes with the *distinct* input rows, in first-occurrence
-///     order; output is the concatenation of index bucket contents (bag).
 ///   - FilterOp keeps rows satisfying every predicate (bag).
 ///   - ProjectOp projects; when `dedupe`, keeps the first occurrence of each
 ///     distinct projected row (set).
@@ -34,9 +32,11 @@ namespace bqe {
 ///
 /// The building blocks below the classic operators (BatchWriter, PairWriter,
 /// MergedChunk, JoinBuildTable, FilterSelect, AppendDistinctRows,
-/// CollectFetchSegments, ProductBatch, ProbeJoinBatch) are exported so the
+/// ProductBatch, ProbeJoinBatch, ConcatMorsels) are exported so the
 /// morsel-driven parallel executor (exec/parallel.cc) can drive the same
-/// per-batch kernels from worker threads with thread-local scratch.
+/// per-batch kernels from worker threads with thread-local scratch. Fetch
+/// steps are not operators here: they read through the plan's FetchSource
+/// (exec/fetch_source.h).
 
 /// Accumulates output rows and flushes full batches into a BatchVec.
 class BatchWriter {
@@ -221,26 +221,13 @@ void ProductBatch(const ColumnBatch& lb, const ColumnBatch& r,
                   const std::vector<ValueType>& out_types, size_t batch_size,
                   BatchVec* out);
 
+/// Ordered concatenation of per-morsel outputs: morsel index order is the
+/// serial row-stream order, which is what makes parallel execution
+/// deterministic and byte-identical to the serial path.
+BatchVec ConcatMorsels(std::vector<BatchVec>* morsels);
+
 /// Single-row batch holding a kConst step's row (types from plan metadata).
 BatchVec ConstOp(const Tuple& row, const std::vector<ValueType>& types);
-
-struct FetchCounters {
-  uint64_t probes = 0;
-  uint64_t tuples_fetched = 0;
-};
-
-/// Serial phase of a fetch: dedupes the input's rows (the encoded row *is*
-/// the X-key), probes the index's frozen mirror once per distinct key in
-/// first-occurrence order, and appends each hit bucket's gather segments to
-/// `segs`. Returns the total row count. Callers must idx.EnsureFrozen()
-/// first; the parallel executor partitions `segs` into morsels and gathers
-/// them concurrently.
-size_t CollectFetchSegments(const AccessIndex& idx, const BatchVec& input,
-                            std::vector<FrozenSegment>* segs,
-                            FetchCounters* counters);
-
-BatchVec FetchOp(const AccessIndex& idx, const BatchVec& input,
-                 size_t batch_size, FetchCounters* counters);
 
 BatchVec FilterOp(const BatchVec& input, const std::vector<PlanPredicate>& preds,
                   size_t batch_size);

@@ -208,21 +208,6 @@ void WorkerPool::ParallelFor(size_t n, const GroupOptions& opts,
 
 namespace {
 
-/// Ordered concatenation of per-morsel outputs: morsel index order is the
-/// serial row-stream order, which is what makes parallel execution
-/// deterministic and byte-identical to the serial path.
-BatchVec ConcatMorsels(std::vector<BatchVec>* morsels) {
-  if (morsels->size() == 1) return std::move(morsels->front());
-  BatchVec out;
-  size_t total = 0;
-  for (const BatchVec& m : *morsels) total += m.size();
-  out.reserve(total);
-  for (BatchVec& m : *morsels) {
-    for (ColumnBatch& b : m) out.push_back(std::move(b));
-  }
-  return out;
-}
-
 using Clock = std::chrono::steady_clock;
 
 inline double MsSince(Clock::time_point t0) {
@@ -420,44 +405,6 @@ PartitionedKeyTable BuildExclusionSet(const BatchVec& right, size_t slot,
   bs.build_ms += MsSince(t0);
   bs.partitions += set.num_partitions();
   return set;
-}
-
-/// Phase 2 of a fetch: gather the serially collected bucket segments in
-/// row-balanced contiguous morsels.
-BatchVec ParallelFetch(const PhysicalOp& s, const BatchVec& input, ParCtx& cx,
-                       ExecStats* st) {
-  std::vector<FrozenSegment> segs;
-  FetchCounters fc;
-  size_t total = CollectFetchSegments(*s.index, input, &segs, &fc);
-  st->fetch_probes += fc.probes;
-  st->tuples_fetched += fc.tuples_fetched;
-  size_t target =
-      std::max(cx.opts.batch_size, total / (cx.workers * 4) + 1);
-  std::vector<std::pair<size_t, size_t>> morsels;
-  size_t begin = 0, acc = 0;
-  for (size_t k = 0; k < segs.size(); ++k) {
-    acc += segs[k].NumRows();
-    if (acc >= target) {
-      morsels.emplace_back(begin, k + 1);
-      begin = k + 1;
-      acc = 0;
-    }
-  }
-  if (begin < segs.size()) morsels.emplace_back(begin, segs.size());
-  std::vector<BatchVec> mout(morsels.size());
-  cx.pool.ParallelFor(morsels.size(), cx.Group(), [&](size_t, size_t m) {
-    BatchWriter w(s.index->output_types(), cx.opts.batch_size, &mout[m]);
-    for (size_t k = morsels[m].first; k < morsels[m].second; ++k) {
-      const FrozenSegment& g = segs[k];
-      if (g.rows != nullptr) {
-        w.WriteGather(*g.batch, g.rows, g.n, {});
-      } else {
-        w.WriteGatherRange(*g.batch, g.begin, g.end - g.begin);
-      }
-    }
-    w.Finish();
-  });
-  return ConcatMorsels(&mout);
 }
 
 BatchVec ParallelProduct(const PhysicalOp& s, const BatchVec& left,
@@ -725,11 +672,6 @@ Result<Table> ExecutePhysicalPlanParallel(const PhysicalPlan& plan,
                                           ExecStats* st,
                                           const ExecOptions& opts) {
   using Clock = std::chrono::steady_clock;
-  // Freeze-before-fan-out, restated here for direct callers: with
-  // schema-granular cache coherence a compiled plan now outlives delta
-  // batches, so its fetch mirrors may carry a pending (budget-forced)
-  // rebuild. Idempotent and cheap when already frozen.
-  for (const AccessIndex* idx : plan.fetch_indices()) idx->EnsureFrozen();
   const std::vector<PhysicalOp>& ops = plan.ops();
   size_t workers =
       std::max<size_t>(1, std::min(opts.num_threads, WorkerPool::kMaxThreads));
@@ -751,9 +693,15 @@ Result<Table> ExecutePhysicalPlanParallel(const PhysicalPlan& plan,
         break;
       case PlanStep::Kind::kEmpty:
         break;
-      case PlanStep::Kind::kFetch:
-        out = ParallelFetch(s, results[static_cast<size_t>(s.input)], cx, st);
+      case PlanStep::Kind::kFetch: {
+        FetchCounters fc;
+        out = plan.source().FetchBatches(
+            *s.index, results[static_cast<size_t>(s.input)],
+            opts.batch_size, workers, opts.task_tag, &fc);
+        st->fetch_probes += fc.probes;
+        st->tuples_fetched += fc.tuples_fetched;
         break;
+      }
       case PlanStep::Kind::kProduct:
         out = ParallelProduct(s, results[static_cast<size_t>(s.left)],
                               results[static_cast<size_t>(s.right)], cx);

@@ -99,8 +99,8 @@ class WorkerPool {
 /// partitioned build). Per-thread ExecStats are merged at the end;
 /// breaker build phases are timed in ExecStats::build. The produced row
 /// stream is byte-identical to the serial executor's on every path.
-/// Callers must have frozen all fetch indices (ExecutePhysicalPlan does
-/// this before dispatching here).
+/// Fetch steps run on the calling thread through the plan's FetchSource,
+/// which freezes the mirrors it reads before its own fan-out.
 Result<Table> ExecutePhysicalPlanParallel(const PhysicalPlan& plan,
                                           ExecStats* stats,
                                           const ExecOptions& opts);

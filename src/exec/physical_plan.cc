@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/strings.h"
 #include "core/plan_exec.h"
 #include "exec/operators.h"
 #include "exec/parallel.h"
@@ -11,28 +10,6 @@
 namespace bqe {
 
 namespace {
-
-Result<int> CheckStepRef(int ref, size_t current) {
-  if (ref < 0 || static_cast<size_t>(ref) >= current) {
-    return Status::Internal(
-        StrCat("plan step references invalid step ", ref));
-  }
-  return ref;
-}
-
-/// Resolves a fetch step to the index of its (source) constraint.
-Result<const AccessIndex*> ResolveFetchIndex(const BoundedPlan& plan,
-                                             const PlanStep& s,
-                                             const IndexSet& indices) {
-  const AccessConstraint& c = plan.actualized.at(s.constraint_id);
-  int source = c.source_id >= 0 ? c.source_id : c.id;
-  const AccessIndex* idx = indices.Get(source);
-  if (idx == nullptr) {
-    return Status::Internal(StrCat("no index for constraint ", c.ToString(),
-                                   " (source id ", source, ")"));
-  }
-  return idx;
-}
 
 /// True when op `p` can stream into a single consumer without materializing:
 /// a filter or a duplicate-preserving project (both transform their morsel
@@ -79,11 +56,14 @@ int PickBuildPartitions(uint64_t build_rows) {
 }
 
 Result<PhysicalPlan> PhysicalPlan::Compile(const BoundedPlan& plan,
-                                           const IndexSet& indices) {
+                                           const IndexSet& indices,
+                                           const FetchSource& source) {
   PhysicalPlan pp;
   if (plan.output < 0 || plan.output >= static_cast<int>(plan.steps.size())) {
     return Status::Internal("plan has no output step");
   }
+  // Type derivation also validates every step reference and fetch
+  // binding, so the lowering below copies them as they are.
   BQE_ASSIGN_OR_RETURN(std::vector<std::vector<ValueType>> types,
                        DerivePlanStepTypes(plan, indices));
 
@@ -101,7 +81,7 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const BoundedPlan& plan,
         break;
       case PlanStep::Kind::kFetch: {
         BQE_ASSIGN_OR_RETURN(op.index, ResolveFetchIndex(plan, s, indices));
-        BQE_ASSIGN_OR_RETURN(op.input, CheckStepRef(s.input, i));
+        op.input = s.input;
         if (std::find(pp.fetch_indices_.begin(), pp.fetch_indices_.end(),
                       op.index) == pp.fetch_indices_.end()) {
           pp.fetch_indices_.push_back(op.index);
@@ -114,13 +94,13 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const BoundedPlan& plan,
         break;
       }
       case PlanStep::Kind::kProject: {
-        BQE_ASSIGN_OR_RETURN(op.input, CheckStepRef(s.input, i));
+        op.input = s.input;
         op.cols = s.cols;
         op.dedupe = s.dedupe;
         break;
       }
       case PlanStep::Kind::kFilter: {
-        BQE_ASSIGN_OR_RETURN(op.input, CheckStepRef(s.input, i));
+        op.input = s.input;
         op.preds = s.preds;
         break;
       }
@@ -128,8 +108,8 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const BoundedPlan& plan,
       case PlanStep::Kind::kJoin:
       case PlanStep::Kind::kUnion:
       case PlanStep::Kind::kDiff: {
-        BQE_ASSIGN_OR_RETURN(op.left, CheckStepRef(s.left, i));
-        BQE_ASSIGN_OR_RETURN(op.right, CheckStepRef(s.right, i));
+        op.left = s.left;
+        op.right = s.right;
         if (s.kind == PlanStep::Kind::kJoin) {
           op.join_cols = s.join_cols;
           for (auto [a, b] : s.join_cols) {
@@ -240,14 +220,15 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const BoundedPlan& plan,
     attrs.push_back(Attribute{plan.output_names[c], t});
   }
   pp.output_schema_ = RelationSchema("result", std::move(attrs));
-  pp.source_ = &plan;
+  pp.source_plan_ = &plan;
   pp.indices_ = &indices;
+  pp.source_ = &source;
   return pp;
 }
 
 size_t PhysicalPlan::FetchIndexEntries() const {
   size_t n = 0;
-  for (const AccessIndex* idx : fetch_indices_) n += idx->NumEntries();
+  for (const AccessIndex* idx : fetch_indices_) n += source_->NumEntries(*idx);
   return n;
 }
 
@@ -271,8 +252,9 @@ Result<Table> ExecuteSerial(const PhysicalPlan& plan, ExecStats* st,
         break;
       case PlanStep::Kind::kFetch: {
         FetchCounters fc;
-        out = FetchOp(*s.index, results[static_cast<size_t>(s.input)],
-                      opts.batch_size, &fc);
+        out = plan.source().FetchBatches(
+            *s.index, results[static_cast<size_t>(s.input)], opts.batch_size,
+            /*workers=*/1, opts.task_tag, &fc);
         st->fetch_probes += fc.probes;
         st->tuples_fetched += fc.tuples_fetched;
         break;
@@ -342,11 +324,8 @@ Result<Table> ExecutePhysicalPlan(const PhysicalPlan& plan, ExecStats* stats,
   if (opts.row_path_threshold > 0 &&
       plan.FetchIndexEntries() <= opts.row_path_threshold) {
     st->used_row_path = true;
-    return ExecutePlanRowAtATime(plan.source_plan(), plan.indices(), st);
+    return ExecutePlanRowAtATime(plan, st);
   }
-  // Freeze-before-fan-out: build every fetch index's columnar mirror on this
-  // thread; afterwards workers only do const reads of the frozen state.
-  for (const AccessIndex* idx : plan.fetch_indices()) idx->EnsureFrozen();
   if (opts.num_threads > 1) {
     return ExecutePhysicalPlanParallel(plan, st, opts);
   }

@@ -13,6 +13,7 @@
 #include "core/plan.h"
 #include "exec/column_batch.h"
 #include "exec/exec_stats.h"
+#include "exec/fetch_source.h"
 #include "storage/table.h"
 
 namespace bqe {
@@ -65,28 +66,36 @@ struct PhysicalOp {
 /// `Compile()`. Execution never touches plan/schema metadata again —
 /// repeated executions of a cached PhysicalPlan skip straight to operator
 /// dispatch. The plan *borrows* its AccessIndex bindings from the IndexSet
-/// it was compiled against and its logical-plan reference from the source
-/// BoundedPlan; both must outlive it (the engine's PreparedQuery keeps the
-/// BoundedPlan and the compiled form side by side, and the engine owns the
-/// IndexSet).
+/// it was compiled against, its logical-plan reference from the source
+/// BoundedPlan, and its FetchSource; all must outlive it (the engine's
+/// PreparedQuery keeps the BoundedPlan and the compiled form side by side,
+/// and the engine owns the IndexSet and outlives its source).
+///
+/// Every fetch step reads through `source()`: the bindings only supply
+/// per-constraint metadata, so the same compiled plan runs over one engine
+/// (LocalFetchSource) or over hash-partitioned shards (a routed source).
 class PhysicalPlan {
  public:
-  static Result<PhysicalPlan> Compile(const BoundedPlan& plan,
-                                      const IndexSet& indices);
+  static Result<PhysicalPlan> Compile(
+      const BoundedPlan& plan, const IndexSet& indices,
+      const FetchSource& source = LocalFetchSource());
 
   const std::vector<PhysicalOp>& ops() const { return ops_; }
   int output() const { return output_; }
   const RelationSchema& output_schema() const { return output_schema_; }
 
-  /// The logical plan this was compiled from (row-path fallback, debugging).
-  const BoundedPlan& source_plan() const { return *source_; }
+  /// The logical plan this was compiled from (debugging, tests).
+  const BoundedPlan& source_plan() const { return *source_plan_; }
+  /// The IndexSet the fetch bindings were resolved in.
   const IndexSet& indices() const { return *indices_; }
+  /// Where every fetch step reads; see FetchSource.
+  const FetchSource& source() const { return *source_; }
 
   /// The distinct AccessIndices this plan's fetch steps bind, resolved at
   /// compile time. This is the plan's *read set* over the index layer: the
   /// engine snapshots per-index coherence signals (mirror generation) from
   /// it so maintenance re-validates exactly the cached plans touching a
-  /// churned relation, and execution freezes/sizes fetch mirrors through it
+  /// churned relation, and execution sizes the row-path decision through it
   /// without rescanning the op DAG.
   const std::vector<const AccessIndex*>& fetch_indices() const {
     return fetch_indices_;
@@ -99,10 +108,11 @@ class PhysicalPlan {
   /// it is the set whose indices' bucket patch logs a refresh consumes.
   const std::vector<std::string>& fetch_rels() const { return fetch_rels_; }
 
-  /// Live total entry count of the fetch steps' indices — the adaptive
-  /// micro-plan signal (ExecOptions::row_path_threshold). Recomputed per
-  /// execution (never frozen into the plan): maintenance changes it, and a
-  /// cached plan must re-decide row-path vs vectorized as tables grow.
+  /// Live total entry count of the fetch steps' indices, as the source
+  /// reads them — the adaptive micro-plan signal
+  /// (ExecOptions::row_path_threshold). Recomputed per execution (never
+  /// frozen into the plan): maintenance changes it, and a cached plan must
+  /// re-decide row-path vs vectorized as tables grow.
   size_t FetchIndexEntries() const;
 
   /// Observed-build-size feedback: per-breaker EWMAs of the actual rows
@@ -139,8 +149,9 @@ class PhysicalPlan {
   std::vector<std::string> fetch_rels_;            // Distinct base relations.
   int output_ = -1;
   RelationSchema output_schema_;
-  const BoundedPlan* source_ = nullptr;
+  const BoundedPlan* source_plan_ = nullptr;
   const IndexSet* indices_ = nullptr;
+  const FetchSource* source_ = nullptr;
   /// 2 * ops_.size() slots; see ObservedBuildRows().
   std::shared_ptr<std::vector<std::atomic<uint64_t>>> build_feedback_;
 };
@@ -161,8 +172,7 @@ int PickBuildPartitions(uint64_t build_rows);
 
 /// Executes a compiled plan: serial vectorized dispatch by default,
 /// morsel-driven parallel execution when opts.num_threads > 1, and the
-/// row-at-a-time interpreter below opts.row_path_threshold. Freezes every
-/// fetch index (serially) before any worker fan-out.
+/// row-at-a-time interpreter below opts.row_path_threshold.
 Result<Table> ExecutePhysicalPlan(const PhysicalPlan& plan,
                                   ExecStats* stats = nullptr,
                                   const ExecOptions& opts = {});

@@ -9,16 +9,8 @@
 namespace bqe {
 namespace serve {
 
-QueryService::QueryService(BoundedEngine* engine, ServiceOptions opts)
-    : QueryService(engine, nullptr, opts) {}
-
-QueryService::QueryService(cluster::ShardedEngine* sharded, ServiceOptions opts)
-    : QueryService(nullptr, sharded, opts) {}
-
-QueryService::QueryService(BoundedEngine* engine,
-                           cluster::ShardedEngine* sharded, ServiceOptions opts)
+QueryService::QueryService(Engine* engine, ServiceOptions opts)
     : engine_(engine),
-      sharded_(sharded),
       opts_(opts),
       queue_(std::max<size_t>(1, opts.queue_capacity)),
       window_(std::max<size_t>(1, opts.batch_window), opts.batch_horizon_us),
@@ -36,14 +28,9 @@ QueryService::QueryService(BoundedEngine* engine,
   // the next execution probing that relation) surface in stats().freezes.
   // Installation happens before any dispatcher runs, so it is ordered
   // before all service reads.
-  AccessIndex::FreezeHook hook = [this](const AccessIndex&) {
+  engine_->SetFreezeHook([this](const AccessIndex&) {
     freezes_.fetch_add(1, std::memory_order_relaxed);
-  };
-  if (engine_ != nullptr) {
-    engine_->indices().SetFreezeHook(std::move(hook));
-  } else {
-    sharded_->SetFreezeHook(std::move(hook));
-  }
+  });
   if (!opts_.start_paused) Start();
 }
 
@@ -88,11 +75,7 @@ void QueryService::Shutdown() {
   // Detach the freeze hooks: they capture `this`, and the engine may
   // outlive the service. No dispatcher is running and callers are expected
   // to have stopped racing the engine with a dying service.
-  if (engine_ != nullptr) {
-    engine_->indices().SetFreezeHook(AccessIndex::FreezeHook{});
-  } else {
-    sharded_->SetFreezeHook(AccessIndex::FreezeHook{});
-  }
+  engine_->SetFreezeHook(AccessIndex::FreezeHook{});
 }
 
 QueryService::Request QueryService::MakeQueryRequest(RaExprPtr query) {
@@ -236,14 +219,10 @@ void QueryService::ShardMain() {
 Result<std::shared_ptr<const PreparedQuery>> QueryService::ResolvePin(
     const std::string& fingerprint, const RaExprPtr& query, bool* pin_hit) {
   *pin_hit = false;
-  auto still_coherent = [this](const std::string& fp, const PreparedQuery& pq) {
-    return engine_ != nullptr ? engine_->StillCoherent(pq)
-                              : sharded_->StillCoherent(fp, pq);
-  };
   {
     MutexLock lk(&pin_mu_);
     auto it = pins_.find(fingerprint);
-    if (it != pins_.end() && still_coherent(fingerprint, *it->second)) {
+    if (it != pins_.end() && engine_->StillCoherent(fingerprint, *it->second)) {
       *pin_hit = true;
       pin_hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
@@ -252,12 +231,11 @@ Result<std::shared_ptr<const PreparedQuery>> QueryService::ResolvePin(
   // Coherence moved (or first sight): resolve through the engine cache.
   // This is the only serving path that touches the plan-cache lock, and
   // data-only Apply batches never take it — that is the zero-re-prepare
-  // guarantee serve_stress_test pins through stats(). Sharded mode keeps
-  // the guarantee per planning shard: the fingerprint always resolves
+  // guarantee serve_stress_test pins through stats(). A sharded engine
+  // keeps the guarantee per planning shard: the fingerprint always resolves
   // through the same shard's cache.
   BQE_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> pq,
-                       engine_ != nullptr ? engine_->PrepareCompiled(query)
-                                          : sharded_->PrepareCompiled(query));
+                       engine_->PrepareCompiled(query));
   repins_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lk(&pin_mu_);
   if (pins_.size() >= opts_.pin_capacity &&
@@ -265,7 +243,7 @@ Result<std::shared_ptr<const PreparedQuery>> QueryService::ResolvePin(
     // Drop stale pins first; a full map of live pins resets wholesale
     // (mirroring the engine cache's eviction policy).
     for (auto it = pins_.begin(); it != pins_.end();) {
-      if (!still_coherent(it->first, *it->second)) {
+      if (!engine_->StillCoherent(it->first, *it->second)) {
         it = pins_.erase(it);
       } else {
         ++it;
@@ -308,9 +286,7 @@ void QueryService::ProcessChunk(std::vector<Request>* chunk) {
     {
       WriterGateLock wl(&gate_);
       CoherenceSnapshot pre = CoherenceNow();
-      Result<MaintenanceStats> st =
-          engine_ != nullptr ? engine_->Apply(r.deltas, r.policy)
-                             : sharded_->Apply(r.deltas, r.policy);
+      Result<MaintenanceStats> st = engine_->Apply(r.deltas, r.policy);
       if (st.ok()) {
         resp.stats = *st;
       } else {
@@ -326,10 +302,8 @@ void QueryService::ProcessChunk(std::vector<Request>* chunk) {
         // byte budget now rather than at their next lookup.
         if (st.ok() && opts_.result_cache_refresh &&
             post.schema_epoch == pre.schema_epoch) {
-          const std::vector<Delta>& applied =
-              engine_ != nullptr ? engine_->last_applied().deltas
-                                 : sharded_->last_applied().deltas;
-          RefreshSummary sum = rcache_.Refresh(gate_, applied, pre, post);
+          RefreshSummary sum = rcache_.Refresh(
+              gate_, engine_->last_applied().deltas, pre, post);
           if (!sum.fallback_fingerprints.empty()) {
             // Fingerprints whose handles just proved churn-hostile: defer
             // their next (execution-priced) rebuild by one read, so a view
@@ -390,15 +364,9 @@ void QueryService::ProcessChunk(std::vector<Request>* chunk) {
         if (!pin.ok()) {
           resp.status = pin.status();
         } else if ((*pin)->info.covered) {
-          // The pinned path: no plan-cache lock anywhere in here. Sharded
-          // mode scatters the fetch steps across shards; the gather merge
-          // yields the same byte-identical stream either way.
-          Result<ExecuteResult> r =
-              engine_ != nullptr
-                  ? engine_->ExecutePrepared(**pin, leader->id,
-                                             opts_.exec_threads)
-                  : sharded_->ExecutePrepared(**pin, leader->id,
-                                              opts_.exec_threads);
+          // The pinned path: no plan-cache lock anywhere in here.
+          Result<ExecuteResult> r = engine_->ExecutePrepared(
+              **pin, leader->id, opts_.exec_threads);
           executed_.fetch_add(1, std::memory_order_relaxed);
           if (r.ok()) {
             resp.table = std::make_shared<const Table>(std::move(r->table));
@@ -410,11 +378,9 @@ void QueryService::ProcessChunk(std::vector<Request>* chunk) {
         } else {
           // Non-covered: the baseline fallback needs the original query, so
           // route through Execute() (its re-prepare is a cache hit). Still
-          // one execution per coalesced group. Sharded mode serves this
-          // from its full fallback replica.
-          Result<ExecuteResult> r = engine_ != nullptr
-                                        ? engine_->Execute(leader->query)
-                                        : sharded_->Execute(leader->query);
+          // one execution per coalesced group. A sharded engine serves
+          // this from its full fallback replica.
+          Result<ExecuteResult> r = engine_->Execute(leader->query);
           executed_.fetch_add(1, std::memory_order_relaxed);
           if (r.ok()) {
             resp.table = std::make_shared<const Table>(std::move(r->table));
@@ -467,27 +433,8 @@ void QueryService::ProcessChunk(std::vector<Request>* chunk) {
                     ? opts_.result_cache_maint_bytes
                     : std::min(kMaintBytesCap, opts_.result_cache_bytes / 8);
             bool oversized = false;
-            // Sharded mode: the plan's fetch bindings belong to the
-            // planning shard's (partial) index replica, so redirect every
-            // maintenance probe to the key's owning shard — the one whose
-            // bucket is byte-identical to a single engine's — and every
-            // bucket patch-log read to the per-shard logs with the same
-            // ownership routing.
-            IndexFetchFn fetch;
-            IndexPatchLogFn log;
-            if (sharded_ != nullptr) {
-              fetch = [this](const AccessIndex& idx, const Tuple& key) {
-                return sharded_->RoutedFetch(idx, key);
-              };
-              log = [this](const AccessIndex& idx,
-                           std::vector<uint64_t>* stamp,
-                           std::vector<BucketPatch>* out) {
-                return sharded_->RoutedPatchLog(idx, stamp, out);
-              };
-            }
             maint = PlanMaintenance::Build(gate_, maintainable, *resp.table,
-                                           maint_bound, &oversized,
-                                           std::move(fetch), std::move(log));
+                                           maint_bound, &oversized);
             if (oversized) DeclineMaintenance(leader->fingerprint);
           }
           // Insert under the same gate hold the execution ran in: `snap`
@@ -541,29 +488,27 @@ ServiceStats QueryService::stats() const {
   s.schema_epoch = snap.schema_epoch;
   s.data_epoch = snap.data_epoch;
   s.result_cache = rcache_.stats();
-  s.engine = engine_ != nullptr ? engine_->plan_cache_stats()
-                                : sharded_->plan_cache_stats();
-  if (sharded_ != nullptr) {
-    // Per-shard section, folded inside the same read hold: no delta batch
-    // is mid-apply, so every shard's epochs were taken at one quiescent
-    // point and the skew numbers compare like with like.
-    uint64_t max_routed = 0;
-    uint64_t min_routed = ~uint64_t{0};
-    for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-      cluster::ShardStatsSnapshot sh = sharded_->shard_stats(i);
-      ServiceStats::ShardSection sec;
-      sec.schema_epoch = sh.coherence.schema_epoch;
-      sec.data_epoch = sh.coherence.data_epoch;
-      sec.scatter_tasks = sh.scatter_tasks;
-      sec.delta_batches = sh.delta_batches;
-      sec.deltas_routed = sh.deltas_routed;
-      s.scatter_tasks += sh.scatter_tasks;
-      max_routed = std::max(max_routed, sh.deltas_routed);
-      min_routed = std::min(min_routed, sh.deltas_routed);
-      s.engine_shards.push_back(sec);
-    }
+  s.engine = engine_->plan_cache_stats();
+  // Per-shard section, folded inside the same read hold: no delta batch is
+  // mid-apply, so every shard's epochs were taken at one quiescent point
+  // and the skew numbers compare like with like.
+  uint64_t max_routed = 0;
+  uint64_t min_routed = ~uint64_t{0};
+  for (const ShardStatsSnapshot& sh : engine_->shard_stats()) {
+    ServiceStats::ShardSection sec;
+    sec.schema_epoch = sh.coherence.schema_epoch;
+    sec.data_epoch = sh.coherence.data_epoch;
+    sec.scatter_tasks = sh.scatter_tasks;
+    sec.delta_batches = sh.delta_batches;
+    sec.deltas_routed = sh.deltas_routed;
+    s.scatter_tasks += sh.scatter_tasks;
+    max_routed = std::max(max_routed, sh.deltas_routed);
+    min_routed = std::min(min_routed, sh.deltas_routed);
+    s.engine_shards.push_back(sec);
+  }
+  if (!s.engine_shards.empty()) {
     s.shard_skew_max = max_routed;
-    s.shard_skew_min = s.engine_shards.empty() ? 0 : min_routed;
+    s.shard_skew_min = min_routed;
   }
   return s;
 }

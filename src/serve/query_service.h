@@ -11,7 +11,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "cluster/sharded_engine.h"
 #include "common/mutex.h"
 #include "common/rw_gate.h"
 #include "common/thread_annotations.h"
@@ -158,7 +157,7 @@ struct ServiceStats {
   uint64_t maint_lazy_rebuilds = 0;
   uint64_t data_epoch = 0;     ///< Engine data epoch at snapshot.
   uint64_t schema_epoch = 0;   ///< Engine bounds/schema epoch at snapshot.
-  /// Per-shard section, sharded mode only (empty otherwise). Folded in the
+  /// Per-shard section, sharded engines only (empty otherwise). Folded in the
   /// same one-pass consistent snapshot as the rest: the read-side gate hold
   /// excludes delta application, so per-shard epochs sum to `data_epoch` /
   /// `schema_epoch` exactly (modulo the fallback replica's share).
@@ -275,7 +274,7 @@ class BatchWindowController {
   double ewma_drain_us_ GUARDED_BY(mu_) = -1.0;
 };
 
-/// The serving front-end over one BoundedEngine: callers stop holding the
+/// The serving front-end over one Engine: callers stop holding the
 /// engine and calling Execute() under their own locking, and instead submit
 /// requests that the service admits, batches, and dispatches.
 ///
@@ -298,7 +297,7 @@ class BatchWindowController {
 ///      first (read-your-writes within a window).
 ///   3. *Pinning.* The group leader resolves a pinned shared_ptr<const
 ///      PreparedQuery> from the service's pin map, validated lock-free via
-///      BoundedEngine::StillCoherent(); only a coherence change falls back
+///      Engine::StillCoherent(); only a coherence change falls back
 ///      to PrepareCompiled(). Execution runs ExecutePrepared(), which never
 ///      touches the plan-cache lock — across data-only Apply batches the
 ///      serving path holds no lock but the read side of the writer-priority
@@ -317,22 +316,19 @@ class BatchWindowController {
 /// hooks). The service must be destroyed (or Shutdown()) before the engine.
 class QueryService {
  public:
-  explicit QueryService(BoundedEngine* engine, ServiceOptions opts = {});
-
-  /// Sharded mode: the same serving surface over a cluster::ShardedEngine.
-  /// Admission, coalescing, pinning and the result cache stay *global* —
-  /// cache keys fold the per-shard epochs through the merged
-  /// CoherenceSnapshot — while execution scatters fetches across shards
-  /// and SubmitDeltas splits each batch by slot. The service's own
-  /// writer-priority gate layers *above* the per-shard gates (global
-  /// first, then shards — acyclic), which restores whole-query snapshot
-  /// isolation over the shards exactly as in single-engine mode; the
-  /// per-shard gates still let the sharded engine be used directly (e.g.
-  /// by a bench) alongside nothing else. Maintenance handles route their
-  /// index probes through ShardedEngine::RoutedFetch so IVM refresh reads
-  /// each key's owning shard.
-  explicit QueryService(cluster::ShardedEngine* sharded,
-                        ServiceOptions opts = {});
+  /// Serves `engine`: one BoundedEngine, or a cluster::ShardedEngine. The
+  /// service never branches on which. Admission, coalescing, pinning and
+  /// the result cache work the same over both — a sharded engine's merged
+  /// CoherenceSnapshot folds its per-shard epochs into the cache keys, its
+  /// plans fetch from the owning shards, and its Apply splits each batch by
+  /// slot. The service's own writer-priority gate layers *above* a sharded
+  /// engine's per-shard gates (global first, then shards — acyclic), which
+  /// gives whole-query snapshot isolation over the shards exactly as over
+  /// one engine; the per-shard gates still let the sharded engine be used
+  /// directly (e.g. by a bench) alongside nothing else. Result maintenance
+  /// reads through each plan's FetchSource, so a handle over a sharded plan
+  /// probes and replays each key's owning shard.
+  explicit QueryService(Engine* engine, ServiceOptions opts = {});
   ~QueryService();  ///< Shutdown(): drains the queue, joins dispatchers.
 
   QueryService(const QueryService&) = delete;
@@ -372,10 +368,7 @@ class QueryService {
   /// against delta application but never against executions.
   ServiceStats stats() const;
 
-  /// Single-engine mode only (null in sharded mode — use sharded()).
-  const BoundedEngine& engine() const { return *engine_; }
-  /// Sharded mode only; nullptr in single-engine mode.
-  const cluster::ShardedEngine* sharded() const { return sharded_; }
+  const Engine& engine() const { return *engine_; }
 
  private:
   struct Request {
@@ -389,16 +382,9 @@ class QueryService {
     std::promise<DeltaResponse> delta_promise;
   };
 
-  /// Both public constructors delegate here; exactly one of engine /
-  /// sharded is non-null.
-  QueryService(BoundedEngine* engine, cluster::ShardedEngine* sharded,
-               ServiceOptions opts);
-
   /// The backing engine's lock-free coherence snapshot (merged over shards
-  /// in sharded mode).
-  CoherenceSnapshot CoherenceNow() const {
-    return engine_ != nullptr ? engine_->Coherence() : sharded_->Coherence();
-  }
+  /// for a sharded engine).
+  CoherenceSnapshot CoherenceNow() const { return engine_->Coherence(); }
 
   Request MakeQueryRequest(RaExprPtr query);
   /// Pushes `r` (blocking admission or load-shed) and counts the outcome —
@@ -431,8 +417,7 @@ class QueryService {
                                const CoherenceSnapshot& now,
                                QueryResponse* resp);
 
-  BoundedEngine* engine_;                ///< Single-engine mode; else null.
-  cluster::ShardedEngine* sharded_;      ///< Sharded mode; else null.
+  Engine* engine_;
   ServiceOptions opts_;
   BoundedMpmcQueue<Request> queue_;
   BatchWindowController window_;

@@ -14,6 +14,8 @@
 #include "cluster/shard_router.h"
 #include "core/engine.h"
 #include "core/plan_exec.h"
+#include "exec/fetch_source.h"
+#include "exec/key_codec.h"
 #include "ra/builder.h"
 #include "serve/query_service.h"
 #include "workload/graph_churn.h"
@@ -22,19 +24,19 @@ namespace bqe {
 namespace {
 
 /// Differential testing of the hash-partitioned multi-engine path: for the
-/// same query, scatter/gather execution across N BoundedEngine shards must
-/// return a row stream *byte-identical* to the single-engine row path —
-/// same rows, same order, same types — for every operator kind, including
-/// the cross-shard set ops (difference, dedupe-union) that finish
-/// centrally. 48 differential cases (8 queries x shards {1,2,4} x pre/post
-/// churn) pin that, plus slot-routing units, serving-mode differentials,
-/// the lazy maintenance-rebuild satellite, and thread stress for the CI
-/// TSan lane.
+/// same query, execution across N BoundedEngine shards — fetch steps routed
+/// to the owning shards — must return a row stream *byte-identical* to the
+/// single-engine row path — same rows, same order, same types — for every
+/// operator kind, including the set ops (difference, dedupe-union) whose
+/// inputs span shards. 48 differential cases (8 queries x shards {1,2,4} x
+/// pre/post churn) pin that on the shards' row path and 96 more on their
+/// serial and morsel-parallel executors, plus slot-routing units, the
+/// routed patch log, serving-mode differentials, the lazy
+/// maintenance-rebuild satellite, and thread stress for the CI TSan lane.
 
 using cluster::ShardedEngine;
 using cluster::ShardedOptions;
 using cluster::ShardRouter;
-using cluster::ShardStatsSnapshot;
 using serve::DeltaResponse;
 using serve::QueryResponse;
 using serve::QueryService;
@@ -259,10 +261,67 @@ TEST(ShardedEngineDifferentialTest, ByteIdenticalToSingleEngine48Cases) {
   EXPECT_EQ(cases, 48u);
 }
 
-/// The public scatter/gather core against the exported row-path
-/// interpreter, plan for plan — pins that the central interpreter
-/// replicates ExecutePlanRowAtATime exactly (including stats shape), with
-/// a shard count that does not divide the slot count evenly.
+/// The compiled executors over the routed source: the 48-case corpus and
+/// churn with the shard engines on the serial vectorized executor and on
+/// the morsel-parallel one, each compared row for row (and type for type)
+/// against the single-engine row path — 96 cases.
+TEST(ShardedEngineDifferentialTest, CompiledExecutorsByteIdentical96Cases) {
+  EngineOptions serial;
+  serial.exec_threads = 1;
+  serial.row_path_threshold = 0;
+  EngineOptions parallel = serial;
+  parallel.exec_threads = 2;
+  size_t cases = 0;
+  for (const EngineOptions& shard_opts : {serial, parallel}) {
+    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+      GraphChurnFixture fx = MakeGraphChurnFixture();
+      BoundedEngine oracle(&fx.db, fx.schema, RowPathOptions());
+      ASSERT_TRUE(oracle.BuildIndices().ok());
+      ShardedOptions opts = MakeShardedOptions(shards);
+      opts.engine = shard_opts;
+      Result<std::unique_ptr<ShardedEngine>> sharded =
+          ShardedEngine::Create(fx.db, fx.schema, opts);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+      std::vector<std::pair<std::string, RaExprPtr>> corpus = Corpus(fx.cfg);
+      auto run_phase = [&](const std::string& phase) {
+        for (const auto& [name, q] : corpus) {
+          std::string ctx = "threads=" +
+                            std::to_string(shard_opts.exec_threads) +
+                            " shards=" + std::to_string(shards) + " " +
+                            phase + " " + name;
+          Result<ExecuteResult> want = oracle.Execute(q);
+          ASSERT_TRUE(want.ok()) << ctx << ": " << want.status().ToString();
+          Result<ExecuteResult> got = (*sharded)->Execute(q);
+          ASSERT_TRUE(got.ok()) << ctx << ": " << got.status().ToString();
+          EXPECT_TRUE(got->used_bounded_plan) << ctx;
+          EXPECT_FALSE(got->bounded_stats.used_row_path) << ctx;
+          ExpectRowForRowEqual(got->table, want->table, ctx);
+          ++cases;
+        }
+      };
+
+      run_phase("pre");
+      for (int b = 0; b < 12; ++b) {
+        std::vector<Delta> batch = GraphChurnMixedBatch(fx.cfg, "sharddiff", b);
+        ASSERT_TRUE(oracle.Apply(batch).ok()) << "batch " << b;
+        ASSERT_TRUE((*sharded)->Apply(batch).ok()) << "batch " << b;
+      }
+      for (int b = 0; b < 6; ++b) {
+        std::vector<Delta> batch = GraphChurnJuneBatch(fx.cfg, b);
+        ASSERT_TRUE(oracle.Apply(batch).ok()) << "june batch " << b;
+        ASSERT_TRUE((*sharded)->Apply(batch).ok()) << "june batch " << b;
+      }
+      run_phase("post");
+    }
+  }
+  EXPECT_EQ(cases, 96u);
+}
+
+/// Prepared 3-shard plans through ExecutePrepared against the exported
+/// row-path interpreter, plan for plan — pins that routed execution
+/// replicates ExecutePlanRowAtATime exactly (including stats shape), with a
+/// shard count that does not divide the slot count evenly.
 TEST(ShardedEngineDifferentialTest, ScatteredPlanMatchesRowPathInterpreter) {
   GraphChurnFixture fx = MakeGraphChurnFixture();
   BoundedEngine oracle(&fx.db, fx.schema, RowPathOptions());
@@ -280,11 +339,10 @@ TEST(ShardedEngineDifferentialTest, ScatteredPlanMatchesRowPathInterpreter) {
 
     Result<Table> want = ExecutePlanRowAtATime(plan, oracle.indices());
     ASSERT_TRUE(want.ok()) << name;
-    ExecStats st;
-    Result<Table> got = (*sharded)->ExecutePlanScattered(plan, 0, 2, &st);
+    Result<ExecuteResult> got = (*sharded)->ExecutePrepared(**pq, 0, 2);
     ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-    ExpectRowForRowEqual(*got, *want, name);
-    EXPECT_EQ(st.output_rows, got->NumRows()) << name;
+    ExpectRowForRowEqual(got->table, *want, name);
+    EXPECT_EQ(got->bounded_stats.output_rows, got->table.NumRows()) << name;
   }
   // At least one query's fetches engaged more than one shard.
   uint64_t scatter = 0;
@@ -368,6 +426,111 @@ TEST(ShardedEngineTest, ApplySplitsByOwnerAndCoherenceSums) {
   EXPECT_TRUE(hit);  // Same planning shard, cached plan intact.
 }
 
+/// One patch-log event as a sortable string: encoded key, row and sign.
+std::string EncodedEvent(const BucketPatch& ev) {
+  std::string out;
+  AppendEncodedTuple(ev.key, &out);
+  AppendEncodedTuple(ev.row, &out);
+  out += ev.sign > 0 ? '+' : '-';
+  return out;
+}
+
+/// The routed source's patch-log ownership filter, read directly: for
+/// every constraint and every churn batch, the events it returns must equal
+/// the single engine's log for that constraint as a multiset. A row
+/// replicated to a non-owner shard logs the same bucket event there; a
+/// double +1 on a set-valued bucket is invisible in answers, so only this
+/// comparison catches it.
+TEST(ShardedEngineTest, RoutedPatchLogMatchesSingleEngineLog) {
+  for (size_t shards : {size_t{2}, size_t{4}}) {
+    GraphChurnFixture fx = MakeGraphChurnFixture();
+    // A budget-forced mirror rebuild truncates the log; keep every mirror
+    // patching in place so each batch's events are all retained.
+    EngineOptions eopts = RowPathOptions();
+    eopts.mirror_patch_budget = size_t{1} << 30;
+    BoundedEngine single(&fx.db, fx.schema, eopts);
+    ASSERT_TRUE(single.BuildIndices().ok());
+    ShardedOptions opts = MakeShardedOptions(shards);
+    opts.engine = eopts;
+    Result<std::unique_ptr<ShardedEngine>> sharded =
+        ShardedEngine::Create(fx.db, fx.schema, opts);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    const FetchSource& routed = (*sharded)->fetch_source();
+
+    // Per constraint: the single engine's index and stamp, the routed
+    // cursor (bound through shard 0's index), and raw per-shard stamps that
+    // count what the filter drops.
+    struct Log {
+      const AccessIndex* single = nullptr;
+      const AccessIndex* binding = nullptr;
+      uint64_t stamp = 0;
+      std::vector<uint64_t> cursor;
+      std::vector<uint64_t> raw;
+    };
+    std::vector<Log> logs;
+    for (const AccessConstraint& c : fx.schema.constraints()) {
+      Log log;
+      log.single = single.indices().Get(c.id);
+      log.binding = (*sharded)->shard_engine(0).indices().Get(c.id);
+      ASSERT_NE(log.single, nullptr);
+      ASSERT_NE(log.binding, nullptr);
+      log.single->EnsureFrozen();
+      log.stamp = log.single->patch_log_stamp();
+      ASSERT_TRUE(routed.PatchLogSince(*log.binding, &log.cursor, nullptr));
+      ASSERT_EQ(log.cursor.size(), shards);
+      for (size_t s = 0; s < shards; ++s) {
+        const AccessIndex* idx =
+            (*sharded)->shard_engine(s).indices().Get(c.id);
+        idx->EnsureFrozen();
+        log.raw.push_back(idx->patch_log_stamp());
+      }
+      logs.push_back(std::move(log));
+    }
+
+    std::vector<std::vector<Delta>> batches;
+    for (int b = 0; b < 12; ++b) {
+      batches.push_back(GraphChurnMixedBatch(fx.cfg, "patchlog", b));
+    }
+    for (int b = 0; b < 6; ++b) {
+      batches.push_back(GraphChurnJuneBatch(fx.cfg, b));
+    }
+    size_t events = 0, raw_events = 0;
+    for (size_t b = 0; b < batches.size(); ++b) {
+      ASSERT_TRUE(single.Apply(batches[b]).ok()) << "batch " << b;
+      ASSERT_TRUE((*sharded)->Apply(batches[b]).ok()) << "batch " << b;
+      for (Log& log : logs) {
+        std::string ctx = "shards=" + std::to_string(shards) + " batch " +
+                          std::to_string(b) + " constraint " +
+                          log.single->constraint().ToString();
+        std::vector<BucketPatch> want, got;
+        ASSERT_TRUE(log.single->PatchLogSince(log.stamp, &want)) << ctx;
+        log.stamp = log.single->patch_log_stamp();
+        ASSERT_TRUE(routed.PatchLogSince(*log.binding, &log.cursor, &got))
+            << ctx;
+        std::vector<std::string> w, g;
+        for (const BucketPatch& ev : want) w.push_back(EncodedEvent(ev));
+        for (const BucketPatch& ev : got) g.push_back(EncodedEvent(ev));
+        std::sort(w.begin(), w.end());
+        std::sort(g.begin(), g.end());
+        EXPECT_EQ(g, w) << ctx;
+        events += got.size();
+        for (size_t s = 0; s < shards; ++s) {
+          const AccessIndex* idx =
+              (*sharded)->shard_engine(s).indices().Get(
+                  log.single->constraint().id);
+          std::vector<BucketPatch> raw;
+          ASSERT_TRUE(idx->PatchLogSince(log.raw[s], &raw)) << ctx;
+          log.raw[s] = idx->patch_log_stamp();
+          raw_events += raw.size();
+        }
+      }
+    }
+    EXPECT_GT(events, 0u) << "shards=" << shards;
+    // Replication did log foreign-key events, and the filter dropped them.
+    EXPECT_GT(raw_events, events) << "shards=" << shards;
+  }
+}
+
 /// Serving-mode differential: the sharded QueryService answers exactly
 /// like a direct single row-path engine across query/delta interleavings,
 /// while the per-shard stats section and the five-way request accounting
@@ -380,7 +543,7 @@ TEST(ShardedServiceTest, AnswersMatchSingleEngineAcrossChurn) {
       ShardedEngine::Create(fx.db, fx.schema, MakeShardedOptions(2));
   ASSERT_TRUE(sharded.ok());
   QueryService service(sharded->get());
-  ASSERT_EQ(service.sharded(), sharded->get());
+  ASSERT_EQ(&service.engine(), sharded->get());
 
   size_t requests = 0;
   auto check_queries = [&](const std::string& phase) {
@@ -431,7 +594,7 @@ TEST(ShardedServiceTest, AnswersMatchSingleEngineAcrossChurn) {
 /// Satellite 1: after an IVM refresh fallback, the fingerprint's next
 /// execution skips the handle rebuild (counted in maint_lazy_rebuilds) and
 /// the one after rebuilds normally — in both single-engine and sharded
-/// mode (where maintenance probes route through RoutedFetch).
+/// mode (where maintenance probes read through the routed fetch source).
 void RunLazyRebuildScenario(QueryService& service, BoundedEngine& oracle,
                             const GraphChurnConfig& cfg) {
   RaExprPtr q = FriendsMayNotJuneCafesQuery(cfg.Pid(0));
