@@ -6,6 +6,12 @@
 
 namespace bqe {
 
+bool PlanPredicate::Holds(const Tuple& row) const {
+  const Value& l = row[static_cast<size_t>(lhs)];
+  if (kind == Kind::kColConst) return EvalCmp(op, l, constant);
+  return EvalCmp(op, l, row[static_cast<size_t>(rhs)]);
+}
+
 std::string PlanPredicate::ToString() const {
   if (kind == Kind::kColConst) {
     return StrCat("#", lhs, " ", CmpOpName(op), " ", constant.ToString());

@@ -19,6 +19,9 @@ struct PlanPredicate {
   int rhs = -1;
   Value constant;
 
+  /// Whether `row` (a tuple of the filtered step's columns) satisfies this.
+  bool Holds(const Tuple& row) const;
+
   std::string ToString() const;
 };
 

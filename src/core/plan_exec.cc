@@ -31,14 +31,6 @@ void Dedupe(std::vector<Tuple>* rows) {
   *rows = std::move(out);
 }
 
-bool EvalPlanPredicate(const Tuple& row, const PlanPredicate& p) {
-  const Value& l = row[static_cast<size_t>(p.lhs)];
-  if (p.kind == PlanPredicate::Kind::kColConst) {
-    return EvalCmp(p.op, l, p.constant);
-  }
-  return EvalCmp(p.op, l, row[static_cast<size_t>(p.rhs)]);
-}
-
 }  // namespace
 
 Result<const AccessIndex*> ResolveFetchIndex(const BoundedPlan& plan,
@@ -178,14 +170,12 @@ Result<Table> ExecutePlanRowAtATime(const PhysicalPlan& plan,
         const std::vector<Tuple>& in = results[static_cast<size_t>(s.input)];
         out.reserve(in.size());
         for (const Tuple& row : in) {
-          bool keep = true;
-          for (const PlanPredicate& p : s.preds) {
-            if (!EvalPlanPredicate(row, p)) {
-              keep = false;
-              break;
-            }
+          if (std::all_of(s.preds.begin(), s.preds.end(),
+                          [&row](const PlanPredicate& p) {
+                            return p.Holds(row);
+                          })) {
+            out.push_back(row);
           }
-          if (keep) out.push_back(row);
         }
         break;
       }

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -64,8 +66,10 @@ struct RefreshStats {
 /// relations its `fetch_indices()` bind, and per-delta provenance is
 /// computable op by op. Every probe and every bucket patch-log read goes
 /// through the plan's FetchSource, so a handle over a sharded engine's plan
-/// reads each key's owning shard exactly as its executions do. Build() replays the populating execution's
-/// row-path semantics once, retaining per-operator state:
+/// reads each key's owning shard exactly as its executions do. Build()
+/// pushes the snapshot through the plan as one all-insert batch into empty
+/// state — the very propagation Refresh() runs — which leaves per-operator
+/// state:
 ///
 ///   - kFetch: the distinct probe keys with input multiplicities and the
 ///     bucket each returned, held as a hash set of distinct rows (the fetch
@@ -104,8 +108,8 @@ struct RefreshStats {
 ///
 /// Threading: Build() and Refresh() mutate retained state and must run
 /// under the caller's writer discipline — Build under at least the shared
-/// side of the serving gate (it replays against tables a concurrent writer
-/// would mutate), Refresh inside the exclusive hold of the very ApplyDeltas
+/// side of the serving gate (it reads indices a concurrent writer would
+/// mutate), Refresh inside the exclusive hold of the very ApplyDeltas
 /// batch being pushed. Both take that gate as an annotated parameter
 /// (REQUIRES_SHARED / REQUIRES), so the clang thread-safety analysis proves
 /// the hold at every call site instead of a comment requesting it. The
@@ -113,22 +117,23 @@ struct RefreshStats {
 /// because BuildIndices() is forbidden while a service is attached.
 class PlanMaintenance {
  public:
-  /// Replays `plan` serially against the live indices, retaining per-op
-  /// state, and verifies the derived output bag equals `result` exactly.
-  /// Returns nullptr when the plan is not maintainable (difference op whose
-  /// maintenance we refuse up front is *not* rejected here — only deletions
+  /// Pushes the live indices' snapshot through `plan` as one all-insert
+  /// batch into empty state, serially, and verifies the derived output bag
+  /// equals `result` exactly. Returns nullptr when the plan is not
+  /// maintainable (a difference op is *not* rejected here — only deletions
   /// on its subtrahend are, at refresh time) or when the verification bag
   /// differs (never expected; defensive).
   ///
   /// `max_bytes` caps the retained state: construction aborts as soon as
-  /// the accumulated ApproxBytes() estimate exceeds it, returning nullptr
-  /// with `*size_exceeded` (when non-null) set true, so a caller refusing
-  /// oversized handles pays at most ~`max_bytes` of state construction
-  /// instead of a full replay plus bag verification. The default cap is
-  /// unbounded; `*size_exceeded` is always written when the pointer is
-  /// given (false on every other outcome, success included).
-  /// `gate` is the serving gate whose (at least shared) hold keeps the
-  /// replayed tables stable for the duration of the build.
+  /// the accumulated ApproxBytes() estimate exceeds it — inside the loops
+  /// that retain fetch buckets and join bags, before the crossing op builds
+  /// its output — returning nullptr with `*size_exceeded` (when non-null)
+  /// set true, so a caller refusing oversized handles pays about
+  /// `max_bytes` of state construction, not a full build plus bag
+  /// verification. The default cap is unbounded; `*size_exceeded` is always
+  /// written when the pointer is given (false on every other outcome,
+  /// success included). `gate` is the serving gate whose (at least shared)
+  /// hold keeps the indices stable for the duration of the build.
   static std::unique_ptr<PlanMaintenance> Build(
       const WriterPriorityGate& gate, std::shared_ptr<const PhysicalPlan> plan,
       const Table& result, size_t max_bytes = static_cast<size_t>(-1),
@@ -161,9 +166,23 @@ class PlanMaintenance {
   const std::shared_ptr<const PhysicalPlan>& plan() const { return plan_; }
 
  private:
-  struct OpState;  // Per-operator retained state; defined in ivm.cc.
+  struct OpState;     // Per-operator retained state; defined in ivm.cc.
+  struct SignedRows;  // Signed bag delta between ops; defined in ivm.cc.
+  /// A delta batch classified against the read set, by relation.
+  using DeltasByRel =
+      std::unordered_map<std::string_view, std::vector<const Delta*>>;
 
   PlanMaintenance() = default;
+
+  /// Pushes one signed micro-batch through the op DAG, advancing the
+  /// retained state, and leaves the output op's signed rows in `*result`.
+  /// Fetch steps replay the patch logs of the indices over `by_rel`'s
+  /// relations; `seed` makes each kConst emit its row (Build's snapshot
+  /// batch). False when the handle cannot continue: an inconsistency, an
+  /// unmaintainable delta shape, or retained bytes crossing `max_bytes`.
+  bool Propagate(const WriterPriorityGate& gate, const DeltasByRel& by_rel,
+                 bool seed, size_t max_bytes, RefreshStats* stats,
+                 SignedRows* result) REQUIRES_SHARED(gate);
 
   std::shared_ptr<const PhysicalPlan> plan_;
   std::vector<std::unique_ptr<OpState>> states_;  // Index-aligned with ops().

@@ -238,6 +238,22 @@ std::vector<DiffCase> AllCases() {
 INSTANTIATE_TEST_SUITE_P(Datasets, IvmDifferentialTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
 
+/// Q1 unioned with a branch whose constant bindings conflict (a cafe in
+/// two cities): the planner emits that branch as a kEmpty step, so the
+/// view's answer is Q1's and Build must seed nothing from the branch.
+RaExprPtr FriendsNycCafesOrNowhereQuery(const std::string& pid) {
+  const std::string f = "friendU", d = "dineU", c = "cafeU";
+  RaExprPtr nowhere = Project(
+      Select(Product(Product(RelAs("friend", f), RelAs("dine", d)),
+                     RelAs("cafe", c)),
+             {EqC(A(f, "pid"), Value::Str(pid)), EqA(A(f, "fid"), A(d, "pid")),
+              EqA(A(d, "cid"), A(c, "cid")),
+              EqC(A(c, "city"), Value::Str("nyc")),
+              EqC(A(c, "city"), Value::Str("la"))}),
+      {A(c, "cid")});
+  return Union(FriendsNycCafesQuery(pid), nowhere);
+}
+
 /// Long mixed insert+delete churn through fetch and join ops: every batch
 /// must stay maintainable, every patched table must equal a fresh
 /// re-execution as an exact bag AND the conventional baseline evaluator
@@ -248,7 +264,7 @@ TEST(IvmGraphChurnDifferentialTest, MixedChurnStaysMaintainableAndExact) {
   ASSERT_TRUE(engine.BuildIndices().ok());
   WriterPriorityGate gate;
 
-  constexpr int kQueries = 3;
+  constexpr int kQueries = 4;  // The last view has a kEmpty branch.
   constexpr int kBatches = 24;  // Lag 8: deletions flow from batch 8 on.
 
   struct Maintained {
@@ -261,7 +277,8 @@ TEST(IvmGraphChurnDifferentialTest, MixedChurnStaysMaintainableAndExact) {
   std::vector<Maintained> views;
   for (int i = 0; i < kQueries; ++i) {
     Maintained v;
-    v.query = FriendsNycCafesQuery(fx.cfg.Pid(i));
+    v.query = i + 1 < kQueries ? FriendsNycCafesQuery(fx.cfg.Pid(i))
+                               : FriendsNycCafesOrNowhereQuery(fx.cfg.Pid(i));
     Result<NormalizedQuery> nq = Normalize(v.query, fx.db.catalog());
     ASSERT_TRUE(nq.ok());
     v.normalized = std::move(*nq);
@@ -269,6 +286,12 @@ TEST(IvmGraphChurnDifferentialTest, MixedChurnStaysMaintainableAndExact) {
         engine.PrepareCompiled(v.query);
     ASSERT_TRUE(pq.ok());
     ASSERT_TRUE((*pq)->info.covered);
+    if (i + 1 == kQueries) {
+      const std::vector<PhysicalOp>& ops = (*pq)->physical->ops();
+      ASSERT_TRUE(std::any_of(ops.begin(), ops.end(), [](const PhysicalOp& op) {
+        return op.kind == PlanStep::Kind::kEmpty;
+      }));
+    }
     v.prepared = *pq;
     Result<ExecuteResult> first = engine.ExecutePrepared(*v.prepared);
     ASSERT_TRUE(first.ok());
@@ -668,6 +691,52 @@ TEST(IvmGraphChurnDifferentialTest, TruncatedPatchLogFallsBackToRefetch) {
   fresh = engine.ExecutePrepared(**pq);
   ASSERT_TRUE(fresh.ok());
   ExpectSameBag(*patched, fresh->table, "post-rebuild refresh");
+}
+
+/// Build's refusal paths, called directly: a byte cap the state crosses
+/// refuses with `*size_exceeded` set, a cap equal to the full handle's
+/// footprint still builds the same handle, and a table that is not the
+/// plan's answer bag refuses without blaming size.
+TEST(IvmGraphChurnDifferentialTest, BuildRefusesOversizedStateAndWrongBag) {
+  GraphChurnFixture fx = MakeGraphChurnFixture();
+  BoundedEngine engine(&fx.db, fx.schema, DeterministicOptions(2));
+  ASSERT_TRUE(engine.BuildIndices().ok());
+  Result<std::shared_ptr<const PreparedQuery>> pq =
+      engine.PrepareCompiled(FriendsNycCafesQuery(fx.cfg.Pid(0)));
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  ASSERT_TRUE((*pq)->info.covered);
+  Result<ExecuteResult> first = engine.ExecutePrepared(**pq);
+  ASSERT_TRUE(first.ok());
+  const Table& result = first->table;
+  ASSERT_GT(result.NumRows(), 0u);
+  const std::shared_ptr<const PhysicalPlan>& plan = (*pq)->physical;
+
+  WriterPriorityGate gate;
+  WriterGateLock wl(&gate);
+  std::unique_ptr<PlanMaintenance> full =
+      PlanMaintenance::Build(gate, plan, result);
+  ASSERT_NE(full, nullptr);
+
+  bool exceeded = false;
+  EXPECT_EQ(PlanMaintenance::Build(gate, plan, result, 0, &exceeded), nullptr);
+  EXPECT_TRUE(exceeded);
+
+  exceeded = true;
+  std::unique_ptr<PlanMaintenance> capped =
+      PlanMaintenance::Build(gate, plan, result, full->ApproxBytes(), &exceeded);
+  ASSERT_NE(capped, nullptr);
+  EXPECT_FALSE(exceeded);
+  EXPECT_EQ(capped->ApproxBytes(), full->ApproxBytes());
+
+  Table short_by_one(result.schema());
+  for (size_t i = 1; i < result.NumRows(); ++i) {
+    short_by_one.InsertUnchecked(result.rows()[i]);
+  }
+  exceeded = true;
+  EXPECT_EQ(PlanMaintenance::Build(gate, plan, short_by_one,
+                                   static_cast<size_t>(-1), &exceeded),
+            nullptr);
+  EXPECT_FALSE(exceeded);
 }
 
 }  // namespace
