@@ -14,12 +14,6 @@
 //   evalQP-par — the same compiled plan under morsel-driven parallel
 //                execution (thread count printed in the footer).
 //
-// The build-phase columns isolate the pipeline breaker: bld-ser is the
-// breaker build-phase wall time with the partitioned build forced off
-// (serial breaker under the same parallel probe fan-out), bld-par with the
-// default two-phase partitioned build, bld-spd their ratio — the speedup
-// the radix-partitioned parallel build buys at the breaker alone.
-//
 // `--reps N` controls measurement repetitions; `--json out.json` writes the
 // per-cell metrics for BENCH trajectory tracking.
 
@@ -41,14 +35,12 @@ int main(int argc, char** argv) {
 
   PrintHeader("Figure 5(c,g,k): varying #-join in [0..5]");
   std::printf(
-      "%-7s %-6s | %11s %11s %11s %11s %11s | %12s | %8s %8s | %9s %9s %7s\n",
+      "%-7s %-6s | %11s %11s %11s %11s %11s | %12s | %8s %8s\n",
       "dataset", "#-join", "evalDBMS", "evalQP", "evalQP-row", "evalQP-cmp",
-      "evalQP-par", "P(DQ)", "cmp-spd", "par-spd", "bld-ser", "bld-par",
-      "bld-spd");
+      "evalQP-par", "P(DQ)", "cmp-spd", "par-spd");
 
   double total_vec_ms = 0, total_row_ms = 0, total_cmp_ms = 0,
-         total_par_ms = 0, total_bser_ms = 0, total_bpar_ms = 0;
-  uint64_t total_partitioned = 0;
+         total_par_ms = 0;
   for (const char* name : {"airca", "tfacc", "mcbm"}) {
     Result<GeneratedDataset> ds_r = MakeDataset(name, 0.25, 1234);
     if (!ds_r.ok()) return 1;
@@ -64,8 +56,7 @@ int main(int argc, char** argv) {
       std::vector<RaExprPtr> queries = CoveredQueries(ds, cfg, 12);
 
       double dbms_ms = 0, qp_ms = 0, row_ms = 0, cmp_ms = 0, par_ms = 0;
-      double bser_ms = 0, bpar_ms = 0;
-      uint64_t fetched = 0, partitioned = 0;
+      uint64_t fetched = 0;
       int measured = 0;
       for (const RaExprPtr& q : queries) {
         Result<NormalizedQuery> nq = Normalize(q, ds.db.catalog());
@@ -76,13 +67,6 @@ int main(int argc, char** argv) {
             RunBoundedLegacy(*nq, ds.schema, *indices, bopts.reps);
         BoundedRun cmp_run =
             RunCompiled(*nq, ds.schema, *indices, bopts.reps);
-        // The parallel executor with the serial breaker forced vs the
-        // default (partitioned where the breaker qualifies): same probe
-        // fan-out, only the build phase differs.
-        BoundedRun pser_run =
-            RunCompiled(*nq, ds.schema, *indices, bopts.reps, par_threads,
-                        /*row_path_threshold=*/0,
-                        /*partitioned_build_min_rows=*/~size_t{0});
         BoundedRun par_run = RunCompiled(*nq, ds.schema, *indices, bopts.reps,
                                          par_threads);
         BaselineRun base = RunBaseline(*nq, ds.db, bopts.reps);
@@ -91,9 +75,6 @@ int main(int argc, char** argv) {
         row_ms += row_run.ms;
         cmp_ms += cmp_run.ms;
         par_ms += par_run.ms;
-        bser_ms += pser_run.build_ms;
-        bpar_ms += par_run.build_ms;
-        partitioned += par_run.partitioned_builds;
         dbms_ms += base.ms;
         fetched += run.fetched;
       }
@@ -102,19 +83,15 @@ int main(int argc, char** argv) {
       total_row_ms += row_ms;
       total_cmp_ms += cmp_ms;
       total_par_ms += par_ms;
-      total_bser_ms += bser_ms;
-      total_bpar_ms += bpar_ms;
-      total_partitioned += partitioned;
       double pdq = static_cast<double>(fetched) /
                    (static_cast<double>(ds.db.TotalTuples()) * measured);
       std::printf(
           "%-7s %-6d | %9.2fms %9.3fms %9.3fms %9.3fms %9.3fms | %12.3e | "
-          "%7.2fx %7.2fx | %7.3fms %7.3fms %6.2fx\n",
+          "%7.2fx %7.2fx\n",
           name, njoin, dbms_ms / measured, qp_ms / measured, row_ms / measured,
           cmp_ms / measured, par_ms / measured, pdq,
           cmp_ms > 0 ? qp_ms / cmp_ms : 0.0,
-          par_ms > 0 ? qp_ms / par_ms : 0.0, bser_ms / measured,
-          bpar_ms / measured, bpar_ms > 0 ? bser_ms / bpar_ms : 0.0);
+          par_ms > 0 ? qp_ms / par_ms : 0.0);
       report.AddCell(name)
           .Label("njoin", njoin)
           .Metric("queries", measured)
@@ -123,10 +100,6 @@ int main(int argc, char** argv) {
           .Metric("row_ms", row_ms / measured)
           .Metric("compiled_ms", cmp_ms / measured)
           .Metric("parallel_ms", par_ms / measured)
-          .Metric("build_serial_ms", bser_ms / measured)
-          .Metric("build_par_ms", bpar_ms / measured)
-          .Metric("build_speedup", bpar_ms > 0 ? bser_ms / bpar_ms : 0.0)
-          .Metric("partitioned_builds", static_cast<double>(partitioned))
           .Metric("pdq", pdq)
           .Metric("threads", static_cast<double>(par_threads));
     }
@@ -140,20 +113,6 @@ int main(int argc, char** argv) {
   std::printf(
       "Overall parallel (%zu threads) speedup over vectorized: %.2fx\n",
       par_threads, total_par_ms > 0 ? total_vec_ms / total_par_ms : 0.0);
-  std::printf(
-      "Overall breaker build-phase speedup (partitioned vs serial build, "
-      "%zu threads): %.2fx over %llu partitioned builds\n",
-      par_threads, total_bpar_ms > 0 ? total_bser_ms / total_bpar_ms : 0.0,
-      static_cast<unsigned long long>(total_partitioned));
-  report.AddCell("summary")
-      .Label("mode", "build_phase")
-      .Metric("build_serial_ms", total_bser_ms)
-      .Metric("build_par_ms", total_bpar_ms)
-      .Metric("build_speedup",
-              total_bpar_ms > 0 ? total_bser_ms / total_bpar_ms : 0.0)
-      .Metric("partitioned_builds", static_cast<double>(total_partitioned))
-      .Metric("threads", static_cast<double>(par_threads))
-      .Metric("hw", static_cast<double>(hw));
   std::printf(
       "\nPaper shape: evalQP time and P(DQ) grow with #-join; evalDBMS is\n"
       "very sensitive to joins (with >= 2 joins it exceeded the paper's\n"

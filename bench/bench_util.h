@@ -229,9 +229,6 @@ inline std::vector<RaExprPtr> CoveredQueries(const GeneratedDataset& ds,
 struct BoundedRun {
   double ms = 0;
   uint64_t fetched = 0;
-  double build_ms = 0;  ///< Pipeline-breaker build-phase wall time (last rep).
-  uint64_t breaker_builds = 0;
-  uint64_t partitioned_builds = 0;
   bool ok = false;
 };
 
@@ -275,16 +272,11 @@ inline BoundedRun RunBoundedLegacy(const NormalizedQuery& nq,
 /// measures ExecutePhysicalPlan alone — what a plan-cache hit costs per
 /// execution. `threads` > 1 measures the morsel-driven parallel executor;
 /// `row_path_threshold` > 0 enables the adaptive micro-plan fallback.
-/// `partitioned_build_min_rows` is the breaker build decision's runtime
-/// threshold (kDefaultPartitionedBuildMinRows = the shipped default;
-/// SIZE_MAX forces every breaker onto the serial build — the baseline the
-/// build-phase speedup column compares against).
 inline BoundedRun RunCompiled(const NormalizedQuery& nq,
                               const AccessSchema& schema,
                               const IndexSet& indices, int runs = 3,
-                              size_t threads = 1, size_t row_path_threshold = 0,
-                              size_t partitioned_build_min_rows =
-                                  kDefaultPartitionedBuildMinRows) {
+                              size_t threads = 1,
+                              size_t row_path_threshold = 0) {
   BoundedRun out;
   Result<CoverageReport> report = CheckCoverage(nq, schema);
   if (!report.ok() || !report->covered) return out;
@@ -295,7 +287,6 @@ inline BoundedRun RunCompiled(const NormalizedQuery& nq,
   ExecOptions opts;
   opts.num_threads = threads;
   opts.row_path_threshold = row_path_threshold;
-  opts.partitioned_build_min_rows = partitioned_build_min_rows;
   ExecStats stats;
   out.ms = TimeMs(
       [&] {
@@ -305,9 +296,6 @@ inline BoundedRun RunCompiled(const NormalizedQuery& nq,
       },
       runs);
   out.fetched = stats.tuples_fetched;
-  out.build_ms = stats.build.total_ms();
-  out.breaker_builds = stats.build.breakers;
-  out.partitioned_builds = stats.build.partitioned;
   out.ok = true;
   return out;
 }

@@ -22,10 +22,8 @@ namespace cluster {
 /// power-of-two number of *slots* (the unit of ownership, far more numerous
 /// than shards so a future rebalance can move slots without re-hashing
 /// keys), and slots map onto shards by modulo. Routing uses the *high* bits
-/// of HashBytes over the canonical key encoding (AppendEncodedTuple) — the
-/// same radix discipline PartitionedKeyTable::PartitionOf applies inside a
-/// single breaker build, applied one level up, and deliberately uncorrelated
-/// with the low bits KeyTable probes on.
+/// of HashBytes over the canonical key encoding (AppendEncodedTuple),
+/// deliberately uncorrelated with the low bits KeyTable probes on.
 ///
 /// A base-relation row is owned by every shard that owns one of its fetch
 /// keys: for each access constraint R(X -> Y, N) on the row's relation the

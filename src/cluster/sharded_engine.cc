@@ -419,11 +419,6 @@ PlanCacheStats ShardedEngine::plan_cache_stats() const {
     out.misses += c.misses;
     out.evictions += c.evictions;
     out.reprepares += c.reprepares;
-    out.breaker_builds += c.breaker_builds;
-    out.partitioned_builds += c.partitioned_builds;
-    out.serial_builds += c.serial_builds;
-    out.build_us += c.build_us;
-    out.build_feedback_repicks += c.build_feedback_repicks;
   }
   return out;
 }

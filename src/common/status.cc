@@ -26,6 +26,10 @@ const char* StatusCodeName(StatusCode code) {
       return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
+    case StatusCode::kUnavailable:
+      return "Unavailable";
   }
   return "Unknown";
 }

@@ -22,6 +22,8 @@ enum class StatusCode {
   kParseError,            ///< SQL / constraint text could not be parsed.
   kUnimplemented,
   kInternal,
+  kResourceExhausted,     ///< Load shed: a bounded queue is full; retry later.
+  kUnavailable,           ///< The service is shut down.
 };
 
 /// Returns a stable human-readable name for a status code.
@@ -64,6 +66,12 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
+  }
+  static Status Unavailable(std::string msg) {
+    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -212,19 +212,6 @@ Result<ExecuteResult> BoundedEngine::ExecutePrepared(const PreparedQuery& pq,
   BQE_ASSIGN_OR_RETURN(
       out.table, ExecutePhysicalPlan(*pq.physical, &out.bounded_stats, eo));
   out.used_bounded_plan = true;
-  // Fold the execution's breaker build phases into the engine's lock-free
-  // observability counters (see PlanCacheStats).
-  const BuildStats& b = out.bounded_stats.build;
-  if (b.breakers > 0) {
-    stat_breaker_builds_.fetch_add(b.breakers, std::memory_order_relaxed);
-    stat_partitioned_builds_.fetch_add(b.partitioned,
-                                       std::memory_order_relaxed);
-    stat_serial_builds_.fetch_add(b.serial, std::memory_order_relaxed);
-    stat_build_us_.fetch_add(static_cast<uint64_t>(b.total_ms() * 1000.0),
-                             std::memory_order_relaxed);
-    stat_feedback_repicks_.fetch_add(b.feedback_repicks,
-                                     std::memory_order_relaxed);
-  }
   return out;
 }
 
@@ -292,13 +279,6 @@ PlanCacheStats BoundedEngine::plan_cache_stats() const {
   out.misses = stat_misses_.load(std::memory_order_relaxed);
   out.evictions = stat_evictions_.load(std::memory_order_relaxed);
   out.reprepares = stat_reprepares_.load(std::memory_order_relaxed);
-  out.breaker_builds = stat_breaker_builds_.load(std::memory_order_relaxed);
-  out.partitioned_builds =
-      stat_partitioned_builds_.load(std::memory_order_relaxed);
-  out.serial_builds = stat_serial_builds_.load(std::memory_order_relaxed);
-  out.build_us = stat_build_us_.load(std::memory_order_relaxed);
-  out.build_feedback_repicks =
-      stat_feedback_repicks_.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -133,26 +133,6 @@ struct PlanCacheStats {
   /// preparations are plain misses; this counts re-prepare storms, and the
   /// cache-coherence stress test pins it at zero across data-only deltas.
   uint64_t reprepares = 0;
-  /// Pipeline-breaker build observability, accumulated over bounded
-  /// executions (ExecutePrepared / covered Execute): how many breaker build
-  /// phases ran, how many took the two-phase partitioned path vs the serial
-  /// fallback, and their total build-phase wall time in microseconds
-  /// (ExecStats::BuildStats folded into the engine's lock-free counters, so
-  /// a stats endpoint can watch build parallelism engage without touching
-  /// per-request stats). Only parallel executions (num_threads > 1, the
-  /// default under EffectiveThreads on multicore hosts) decompose build
-  /// phases — single-threaded executions leave these untouched, so zeros
-  /// here mean "no parallel executions", not "no breakers". The serving
-  /// layer re-exports these via ServiceStats::engine.
-  uint64_t breaker_builds = 0;
-  uint64_t partitioned_builds = 0;
-  uint64_t serial_builds = 0;
-  uint64_t build_us = 0;
-  /// Breaker builds whose partition count came from the plan's observed
-  /// build-size EWMA and differed from what the compile-time est_rows hint
-  /// would have picked — i.e. how often feedback corrected a stale hint on
-  /// a cached plan whose build sides grew or shrank under data-only deltas.
-  uint64_t build_feedback_repicks = 0;
 };
 
 /// The delta batch behind the engine's most recent data-epoch bump: the
@@ -418,11 +398,6 @@ class BoundedEngine : public Engine {
   mutable std::atomic<uint64_t> stat_misses_{0};
   mutable std::atomic<uint64_t> stat_evictions_{0};
   mutable std::atomic<uint64_t> stat_reprepares_{0};
-  mutable std::atomic<uint64_t> stat_breaker_builds_{0};
-  mutable std::atomic<uint64_t> stat_partitioned_builds_{0};
-  mutable std::atomic<uint64_t> stat_serial_builds_{0};
-  mutable std::atomic<uint64_t> stat_build_us_{0};
-  mutable std::atomic<uint64_t> stat_feedback_repicks_{0};
 };
 
 }  // namespace bqe

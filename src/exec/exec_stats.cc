@@ -39,14 +39,6 @@ void ExecStats::Merge(const ExecStats& other) {
   output_rows += other.output_rows;
   batches_produced += other.batches_produced;
   used_row_path = used_row_path || other.used_row_path;
-  build.breakers += other.build.breakers;
-  build.partitioned += other.build.partitioned;
-  build.serial += other.build.serial;
-  build.build_rows += other.build.build_rows;
-  build.partitions += other.build.partitions;
-  build.feedback_repicks += other.build.feedback_repicks;
-  build.scatter_ms += other.build.scatter_ms;
-  build.build_ms += other.build.build_ms;
   for (size_t k = 0; k < kNumPlanStepKinds; ++k) {
     op[k].calls += other.op[k].calls;
     op[k].rows_out += other.op[k].rows_out;
@@ -65,15 +57,6 @@ std::string ExecStats::ToString() const {
     out += StrCat("  ", StepKindName(static_cast<PlanStep::Kind>(k)),
                   ": calls=", op[k].calls, " rows=", op[k].rows_out,
                   " batches=", op[k].batches_out, " ms=", op[k].ms, "\n");
-  }
-  if (build.breakers > 0) {
-    out += StrCat("  build: breakers=", build.breakers,
-                  " partitioned=", build.partitioned,
-                  " serial=", build.serial, " rows=", build.build_rows,
-                  " partitions=", build.partitions,
-                  " feedback_repicks=", build.feedback_repicks,
-                  " scatter_ms=", build.scatter_ms,
-                  " build_ms=", build.build_ms, "\n");
   }
   return out;
 }

@@ -10,11 +10,6 @@
 
 namespace bqe {
 
-/// Default ExecOptions::partitioned_build_min_rows: tuned so the micro
-/// scales of bench_fig5_scale never pay partitioned-build setup while the
-/// bench_fig5_join join cells engage it.
-inline constexpr size_t kDefaultPartitionedBuildMinRows = 4096;
-
 /// Number of PlanStep::Kind values (per-operator stat slots).
 inline constexpr size_t kNumPlanStepKinds = 9;
 static_assert(kNumPlanStepKinds ==
@@ -27,33 +22,6 @@ struct OpStats {
   uint64_t rows_out = 0;     ///< Rows produced by those steps.
   uint64_t batches_out = 0;  ///< Batches produced (vectorized path only).
   double ms = 0.0;           ///< Wall time spent in those steps.
-};
-
-/// Pipeline-breaker build-phase accounting: hash-join build sides,
-/// difference exclusion sets, and set-op dedupe merges — the phases that
-/// materialize a table before probe/merge work can fan out. Recorded by
-/// the *parallel* executor (num_threads > 1), which owns the serial-vs-
-/// partitioned breaker decision; the serial executor's operators run the
-/// same breakers but do not decompose build phases, so these stay zero
-/// there. Within parallel execution the timings are always collected —
-/// unlike the per-op `ms` (gated on ExecOptions::per_op_timing): a plan
-/// has at most a handful of breakers, so the clock reads are noise, and
-/// the serving layer wants the numbers unconditionally.
-struct BuildStats {
-  uint64_t breakers = 0;     ///< Build phases executed.
-  uint64_t partitioned = 0;  ///< ...that ran the two-phase partitioned path.
-  uint64_t serial = 0;       ///< ...that ran the serial single-table path.
-  uint64_t build_rows = 0;   ///< Rows materialized into build tables.
-  uint64_t partitions = 0;   ///< Sum of partition counts (partitioned only).
-  /// Breakers whose partition decision came from the plan's observed
-  /// build-size EWMA (PhysicalPlan::ObservedBuildRows) and differed from
-  /// the compile-time est_rows hint — stale-hint corrections on cached
-  /// plans whose build sides drifted under maintenance.
-  uint64_t feedback_repicks = 0;
-  double scatter_ms = 0;     ///< Phase 1: radix-partition scatter wall time.
-  double build_ms = 0;       ///< Phase 2: table builds (plus serial builds).
-
-  double total_ms() const { return scatter_ms + build_ms; }
 };
 
 /// Access accounting for bounded plans. `tuples_fetched` counts every tuple
@@ -70,7 +38,6 @@ struct ExecStats {
   /// taken per execution from the live fetch-index entry count, so a cached
   /// plan re-decides as maintenance grows or shrinks its tables.
   bool used_row_path = false;
-  BuildStats build;               ///< Pipeline-breaker build phases.
   OpStats op[kNumPlanStepKinds];  ///< Indexed by PlanStep::Kind.
 
   OpStats& ForKind(PlanStep::Kind k) { return op[static_cast<size_t>(k)]; }
@@ -110,16 +77,6 @@ struct ExecOptions {
   /// rather than one anonymous queue. The serving layer sets it to the
   /// request id; 0 for untagged direct callers.
   uint64_t task_tag = 0;
-  /// Minimum materialized build-side rows for the two-phase partitioned
-  /// breaker build (parallel execution only). The partition count comes
-  /// from the compile-time estimate (PhysicalOp::build_partitions) or, when
-  /// that said serial, is re-picked from the actual row count at the
-  /// breaker (stale estimates under data growth must not lock a cached
-  /// plan into serial builds). Below the threshold the serial build wins:
-  /// scatter setup and per-partition table overhead dominate small builds.
-  /// 0 forces the partitioned path down to the partition-pick floor
-  /// (differential tests); SIZE_MAX forces serial.
-  size_t partitioned_build_min_rows = kDefaultPartitionedBuildMinRows;
 };
 
 }  // namespace bqe

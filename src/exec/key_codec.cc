@@ -244,8 +244,8 @@ void KeyTable::Reset(size_t expected_keys) {
   std::fill(slots_.begin(), slots_.end(), Slot{});
 }
 
-uint32_t KeyTable::InsertOrFindHashed(uint64_t h, std::string_view key,
-                                      bool* inserted) {
+uint32_t KeyTable::InsertOrFind(std::string_view key, bool* inserted) {
+  uint64_t h = HashBytes(key);
   // Slots are allocated lazily so never-used tables (and empty operator
   // inputs) cost nothing.
   if ((spans_.size() + 1) * 2 > slots_.size()) Grow();
@@ -271,8 +271,9 @@ uint32_t KeyTable::InsertOrFindHashed(uint64_t h, std::string_view key,
   }
 }
 
-uint32_t KeyTable::FindHashed(uint64_t h, std::string_view key) const {
+uint32_t KeyTable::Find(std::string_view key) const {
   if (slots_.empty()) return kNoGroup;
+  uint64_t h = HashBytes(key);
   size_t mask = slots_.size() - 1;
   size_t i = h & mask;
   while (true) {
@@ -296,25 +297,6 @@ void KeyTable::Grow() {
     while (slots_[i].group != kNoGroup) i = (i + 1) & mask;
     slots_[i] = s;
   }
-}
-
-PartitionedKeyTable::PartitionedKeyTable(size_t partitions,
-                                         size_t expected_keys) {
-  size_t p = 1;
-  int bits = 0;
-  while (p < partitions && p < kMaxPartitions) {
-    p <<= 1;
-    ++bits;
-  }
-  parts_.reserve(p);
-  for (size_t i = 0; i < p; ++i) {
-    parts_.emplace_back(KeyTable(expected_keys / p));
-  }
-  // Route on the top `bits` hash bits; slot probing uses the low bits. A
-  // 1-partition table masks to zero (shift 63, mask 0) so it degenerates
-  // to a bare KeyTable without a shift-by-64 edge case.
-  shift_ = bits == 0 ? 63 : 64 - bits;
-  mask_ = p - 1;
 }
 
 }  // namespace bqe

@@ -58,14 +58,6 @@ class KeyEncoder {
                                            offsets_[row + 1] - offsets_[row]);
   }
 
-  /// The encoded keys, back-to-back in row order — exactly the
-  /// concatenation of Key(0..n). The radix scatter bulk-copies this once
-  /// per batch instead of appending per-row key bytes.
-  std::string_view arena() const { return arena_; }
-
-  /// Byte offset of Key(row) within arena().
-  uint32_t offset(size_t row) const { return offsets_[row]; }
-
  private:
   void SizeColumn(const Column& col, const StringDict& dict, size_t n);
   void FillColumn(const Column& col, const StringDict& dict, size_t n);
@@ -88,23 +80,10 @@ class KeyTable {
   explicit KeyTable(size_t expected_keys = 0);
 
   /// Returns the group id for `key`, inserting a new group if absent.
-  uint32_t InsertOrFind(std::string_view key, bool* inserted) {
-    return InsertOrFindHashed(HashBytes(key), key, inserted);
-  }
-
-  /// InsertOrFind with a caller-computed HashBytes(key): the two-phase
-  /// partitioned build hashes every key once during the scatter phase (it
-  /// needs the hash for partition routing anyway) and reuses it here.
-  uint32_t InsertOrFindHashed(uint64_t hash, std::string_view key,
-                              bool* inserted);
+  uint32_t InsertOrFind(std::string_view key, bool* inserted);
 
   /// Returns the group id for `key`, or kNoGroup.
-  uint32_t Find(std::string_view key) const {
-    return FindHashed(HashBytes(key), key);
-  }
-
-  /// Find with a caller-computed HashBytes(key).
-  uint32_t FindHashed(uint64_t hash, std::string_view key) const;
+  uint32_t Find(std::string_view key) const;
 
   /// Clears all groups but keeps the slot allocation, so a scratch table
   /// can be reused across morsels without reallocating; `expected_keys`
@@ -130,79 +109,6 @@ class KeyTable {
   std::vector<Slot> slots_;  // Power-of-two size; empty until first insert.
   std::string arena_;
   std::vector<std::pair<uint32_t, uint32_t>> spans_;  // group -> (off, len).
-};
-
-/// A KeyTable facade sharding encoded keys over independent partitions by
-/// the *high* bits of HashBytes (slot probing inside each partition uses
-/// the low bits, so routing and probing stay uncorrelated). Two rows with
-/// equal keys always land in the same partition, which is what lets the
-/// pipeline breakers build every partition concurrently — each partition
-/// is owned by exactly one builder task — while probes stay lock-free:
-/// route by hash, then Find in one immutable partition.
-///
-/// InsertOrFind/Find keep the KeyTable semantics for serial callers
-/// (membership, `inserted` flag, repeatable ids); ids are (partition,
-/// local group) packed, so they are unique and stable but — unlike a bare
-/// KeyTable — not dense across partitions. Callers needing insertion-order
-/// chains (the join build) index per-partition side arrays by the local id
-/// instead. A 1-partition table degenerates to a bare KeyTable.
-class PartitionedKeyTable {
- public:
-  static constexpr uint32_t kNoGroup = KeyTable::kNoGroup;
-  /// Partition counts are powers of two in [1, kMaxPartitions]; the packed
-  /// group id keeps kLocalBits for the partition-local id (far above any
-  /// bounded build's group count).
-  static constexpr size_t kMaxPartitions = 64;
-  static constexpr int kLocalBits = 26;
-
-  PartitionedKeyTable() : PartitionedKeyTable(1, 0) {}
-  /// `partitions` is rounded up to a power of two and clamped to
-  /// [1, kMaxPartitions]; `expected_keys` is the *total* sizing hint,
-  /// spread evenly over the partitions.
-  explicit PartitionedKeyTable(size_t partitions, size_t expected_keys = 0);
-
-  size_t num_partitions() const { return parts_.size(); }
-
-  /// Partition of a key's hash: the top log2(num_partitions) bits.
-  size_t PartitionOf(uint64_t hash) const {
-    return (hash >> shift_) & mask_;
-  }
-
-  static uint32_t Pack(size_t partition, uint32_t local) {
-    return static_cast<uint32_t>(partition << kLocalBits) | local;
-  }
-
-  KeyTable& part(size_t p) { return parts_[p]; }
-  const KeyTable& part(size_t p) const { return parts_[p]; }
-
-  uint32_t InsertOrFind(std::string_view key, bool* inserted) {
-    return InsertOrFindHashed(HashBytes(key), key, inserted);
-  }
-  uint32_t InsertOrFindHashed(uint64_t hash, std::string_view key,
-                              bool* inserted) {
-    size_t p = PartitionOf(hash);
-    uint32_t local = parts_[p].InsertOrFindHashed(hash, key, inserted);
-    return Pack(p, local);
-  }
-  uint32_t Find(std::string_view key) const {
-    return FindHashed(HashBytes(key), key);
-  }
-  uint32_t FindHashed(uint64_t hash, std::string_view key) const {
-    size_t p = PartitionOf(hash);
-    uint32_t local = parts_[p].FindHashed(hash, key);
-    return local == kNoGroup ? kNoGroup : Pack(p, local);
-  }
-
-  size_t NumGroups() const {
-    size_t n = 0;
-    for (const KeyTable& t : parts_) n += t.NumGroups();
-    return n;
-  }
-
- private:
-  std::vector<KeyTable> parts_;
-  int shift_ = 63;     // Bring the top routing bits down...
-  uint64_t mask_ = 0;  // ...and mask to the partition count (0 when P = 1).
 };
 
 }  // namespace bqe

@@ -156,7 +156,7 @@ void FilterSelect(const ColumnBatch& b, const std::vector<PlanPredicate>& preds,
 }
 
 void AppendDistinctRows(const ColumnBatch& b, const std::vector<int>& cols,
-                        const PartitionedKeyTable* exclude, KeyTable* seen,
+                        const KeyTable* exclude, KeyTable* seen,
                         KeyEncoder* enc, BatchWriter* w) {
   enc->Encode(b, cols);
   // Reused across calls (and batches) on the dedupe hot path; thread_local
@@ -166,13 +166,11 @@ void AppendDistinctRows(const ColumnBatch& b, const std::vector<int>& cols,
   sel.reserve(b.num_rows());
   for (size_t i = 0; i < b.num_rows(); ++i) {
     std::string_view key = enc->Key(i);
-    uint64_t h = HashBytes(key);
-    if (exclude != nullptr &&
-        exclude->FindHashed(h, key) != PartitionedKeyTable::kNoGroup) {
+    if (exclude != nullptr && exclude->Find(key) != KeyTable::kNoGroup) {
       continue;
     }
     bool inserted = false;
-    seen->InsertOrFindHashed(h, key, &inserted);
+    seen->InsertOrFind(key, &inserted);
     if (inserted) sel.push_back(static_cast<uint32_t>(i));
   }
   w->WriteGather(b, sel.data(), sel.size(), cols);
@@ -306,22 +304,17 @@ BatchVec ProductOp(const BatchVec& left, const BatchVec& right,
 
 JoinBuildTable BuildJoinTable(const ColumnBatch& r, const std::vector<int>& rk,
                               KeyEncoder* enc) {
-  // Group rows by encoded key; chains keep insertion order. One partition:
-  // this is the serial build, the partitioned two-phase build lives in
-  // exec/parallel.cc (ScatterKeys + BuildJoinTablePartition).
+  // Group rows by encoded key; chains keep insertion order.
   JoinBuildTable bt;
-  bt.groups = PartitionedKeyTable(1, r.num_rows());
-  bt.heads.resize(1);
+  bt.groups = KeyTable(r.num_rows());
   bt.next.assign(r.num_rows(), JoinBuildTable::kNone);
   std::vector<uint32_t> tails;
-  KeyTable& part = bt.groups.part(0);
-  std::vector<uint32_t>& heads = bt.heads[0];
   enc->Encode(r, rk);
   for (size_t j = 0; j < r.num_rows(); ++j) {
     bool inserted = false;
-    uint32_t g = part.InsertOrFind(enc->Key(j), &inserted);
+    uint32_t g = bt.groups.InsertOrFind(enc->Key(j), &inserted);
     if (inserted) {
-      heads.push_back(static_cast<uint32_t>(j));
+      bt.heads.push_back(static_cast<uint32_t>(j));
       tails.push_back(static_cast<uint32_t>(j));
     } else {
       bt.next[tails[g]] = static_cast<uint32_t>(j);
@@ -331,94 +324,29 @@ JoinBuildTable BuildJoinTable(const ColumnBatch& r, const std::vector<int>& rk,
   return bt;
 }
 
+KeyTable BuildKeySet(const BatchVec& input, KeyEncoder* enc) {
+  KeyTable set(TotalRows(input));
+  for (const ColumnBatch& b : input) {
+    enc->Encode(b, {});
+    for (size_t i = 0; i < b.num_rows(); ++i) {
+      set.InsertOrFind(enc->Key(i), nullptr);
+    }
+  }
+  return set;
+}
+
 void ProbeJoinBatch(const JoinBuildTable& bt, const ColumnBatch& r,
                     const ColumnBatch& lb, const std::vector<int>& lk,
                     KeyEncoder* enc, PairWriter* w) {
   enc->Encode(lb, lk);
   for (size_t i = 0; i < lb.num_rows(); ++i) {
-    std::string_view key = enc->Key(i);
-    uint64_t h = HashBytes(key);
-    size_t p = bt.groups.PartitionOf(h);
-    uint32_t g = bt.groups.part(p).FindHashed(h, key);
+    uint32_t g = bt.groups.Find(enc->Key(i));
     if (g == KeyTable::kNoGroup) continue;
-    for (uint32_t j = bt.heads[p][g]; j != JoinBuildTable::kNone;
-         j = bt.next[j]) {
+    for (uint32_t j = bt.heads[g]; j != JoinBuildTable::kNone; j = bt.next[j]) {
       w->Add(lb, static_cast<uint32_t>(i), r, j);
     }
   }
   w->Flush(lb, r);
-}
-
-void ScatterKeys(const ColumnBatch& batch, const std::vector<int>& cols,
-                 uint32_t base_row, const PartitionedKeyTable& router,
-                 KeyEncoder* enc, KeyScatter* scatter) {
-  size_t nparts = router.num_partitions();
-  scatter->parts.resize(nparts);
-  enc->Encode(batch, cols);
-  size_t n = batch.num_rows();
-  if (n == 0) return;
-  // One bulk copy of the whole encoded batch; the scatter loop below only
-  // records per-entry locations.
-  uint32_t arena_base = static_cast<uint32_t>(scatter->arena.size());
-  scatter->arena.append(enc->arena());
-  // Seed each slice for a uniform spread of this batch (hash-routed keys
-  // are near-uniform unless skewed; skew just grows one slice normally).
-  size_t per_part = n / nparts + 1;
-  for (KeyScatter::Slice& s : scatter->parts) {
-    if (s.rows.capacity() == 0) {
-      s.rows.reserve(per_part);
-      s.hashes.reserve(per_part);
-      s.offs.reserve(per_part);
-      s.lens.reserve(per_part);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    std::string_view key = enc->Key(i);
-    uint64_t h = HashBytes(key);
-    KeyScatter::Slice& s = scatter->parts[router.PartitionOf(h)];
-    s.rows.push_back(base_row + static_cast<uint32_t>(i));
-    s.hashes.push_back(h);
-    s.offs.push_back(arena_base + enc->offset(i));
-    s.lens.push_back(static_cast<uint32_t>(key.size()));
-  }
-}
-
-void BuildJoinTablePartition(const std::vector<KeyScatter>& scattered,
-                             size_t p, JoinBuildTable* bt) {
-  KeyTable& part = bt->groups.part(p);
-  std::vector<uint32_t>& heads = bt->heads[p];
-  std::vector<uint32_t> tails;
-  for (const KeyScatter& task : scattered) {
-    if (p >= task.parts.size()) continue;  // Task saw no rows at all.
-    const KeyScatter::Slice& s = task.parts[p];
-    for (size_t e = 0; e < s.size(); ++e) {
-      bool inserted = false;
-      uint32_t g =
-          part.InsertOrFindHashed(s.hashes[e], task.key(p, e), &inserted);
-      uint32_t row = s.rows[e];
-      if (inserted) {
-        heads.push_back(row);
-        tails.push_back(row);
-      } else {
-        bt->next[tails[g]] = row;
-        tails[g] = row;
-      }
-    }
-  }
-}
-
-void BuildKeySetPartition(const std::vector<KeyScatter>& scattered, size_t p,
-                          PartitionedKeyTable* table, uint8_t* first_seen) {
-  KeyTable& part = table->part(p);
-  for (const KeyScatter& task : scattered) {
-    if (p >= task.parts.size()) continue;  // Task saw no rows at all.
-    const KeyScatter::Slice& s = task.parts[p];
-    for (size_t e = 0; e < s.size(); ++e) {
-      bool inserted = false;
-      part.InsertOrFindHashed(s.hashes[e], task.key(p, e), &inserted);
-      if (inserted && first_seen != nullptr) first_seen[s.rows[e]] = 1;
-    }
-  }
 }
 
 BatchVec HashJoinOp(const BatchVec& left, const BatchVec& right,
@@ -466,15 +394,8 @@ BatchVec UnionOp(const BatchVec& left, const BatchVec& right,
 
 BatchVec DiffOp(const BatchVec& left, const BatchVec& right,
                 const std::vector<ValueType>& out_types, size_t batch_size) {
-  PartitionedKeyTable right_set(1, TotalRows(right));
   KeyEncoder enc;
-  for (const ColumnBatch& b : right) {
-    enc.Encode(b, {});
-    for (size_t i = 0; i < b.num_rows(); ++i) {
-      right_set.InsertOrFind(enc.Key(i), nullptr);
-    }
-  }
-
+  KeyTable right_set = BuildKeySet(right, &enc);
   BatchVec out;
   BatchWriter w(out_types, batch_size, &out);
   KeyTable seen(TotalRows(left));

@@ -31,8 +31,9 @@ namespace bqe {
 /// TupleHash on the hot path.
 ///
 /// The building blocks below the classic operators (BatchWriter, PairWriter,
-/// MergedChunk, JoinBuildTable, FilterSelect, AppendDistinctRows,
-/// ProductBatch, ProbeJoinBatch, ConcatMorsels) are exported so the
+/// MergedChunk, JoinBuildTable, BuildKeySet, FilterSelect,
+/// AppendDistinctRows, ProductBatch, ProbeJoinBatch, ConcatMorsels) are
+/// exported so the
 /// morsel-driven parallel executor (exec/parallel.cc) can drive the same
 /// per-batch kernels from worker threads with thread-local scratch. Fetch
 /// steps are not operators here: they read through the plan's FetchSource
@@ -112,25 +113,23 @@ const ColumnBatch* MergedChunk(const BatchVec& input,
                                ColumnBatch* scratch);
 
 /// Hash-join build side over one merged chunk: encoded-key groups with
-/// insertion-ordered row chains (heads[p][g] -> next[...] -> kNone). The
-/// group table is partition-sharded (PartitionedKeyTable): the serial build
-/// uses one partition, the two-phase partitioned build (exec/parallel.cc)
-/// builds each partition in an independent task. `next` is shared across
-/// partitions — every row belongs to exactly one partition, so concurrent
-/// partition builders write disjoint elements. Chains keep ascending row
-/// order either way, which is what keeps probe output byte-identical
-/// between the serial and the partitioned build.
+/// insertion-ordered row chains (heads[g] -> next[...] -> kNone). Built
+/// once on the calling thread; probe workers share it read-only.
 struct JoinBuildTable {
   static constexpr uint32_t kNone = 0xffffffffu;
-  PartitionedKeyTable groups;
-  std::vector<std::vector<uint32_t>> heads;  ///< [partition][local group].
-  std::vector<uint32_t> next;                ///< Global row -> next in chain.
+  KeyTable groups;
+  std::vector<uint32_t> heads;  ///< Group -> first row of its chain.
+  std::vector<uint32_t> next;   ///< Row -> next row in its chain.
 };
 
-/// Builds the join table for `r` keyed on columns `rk`, serially, in one
-/// partition. `enc` is caller scratch (reused across calls).
+/// Builds the join table for `r` keyed on columns `rk`. `enc` is caller
+/// scratch (reused across calls).
 JoinBuildTable BuildJoinTable(const ColumnBatch& r, const std::vector<int>& rk,
                               KeyEncoder* enc);
+
+/// Builds the set of whole-row encoded keys of `input` (the difference's
+/// right-side exclusion set). `enc` is caller scratch.
+KeyTable BuildKeySet(const BatchVec& input, KeyEncoder* enc);
 
 /// Probes every row of `lb` (keyed on `lk`) against a built table, emitting
 /// concatenated (left ++ right) rows through `w`. Flushes `w` before
@@ -140,61 +139,6 @@ JoinBuildTable BuildJoinTable(const ColumnBatch& r, const std::vector<int>& rk,
 void ProbeJoinBatch(const JoinBuildTable& bt, const ColumnBatch& r,
                     const ColumnBatch& lb, const std::vector<int>& lk,
                     KeyEncoder* enc, PairWriter* w);
-
-/// Phase-1 scratch of the two-phase partitioned build: one task's input
-/// rows, radix-scattered by key-hash prefix into per-partition slices.
-/// Entry e of a slice carries the global row id, the key hash (partition
-/// routing and table probing reuse it — keys are hashed exactly once), and
-/// the key's location in the task arena. The arena holds the task's
-/// encoded keys back-to-back, bulk-copied once per input batch straight
-/// out of the encoder — the scatter loop itself never copies key bytes —
-/// so phase 2 reads keys without touching the source batches.
-struct KeyScatter {
-  struct Slice {
-    std::vector<uint32_t> rows;    ///< Global row ids, ascending.
-    std::vector<uint64_t> hashes;  ///< HashBytes of each key.
-    std::vector<uint32_t> offs;    ///< Key byte offsets into the arena.
-    std::vector<uint32_t> lens;    ///< Key byte lengths.
-
-    size_t size() const { return rows.size(); }
-  };
-  std::string arena;         ///< This task's encoded keys, in row order.
-  std::vector<Slice> parts;  ///< One slice per partition.
-
-  std::string_view key(size_t p, size_t e) const {
-    const Slice& s = parts[p];
-    return std::string_view(arena).substr(s.offs[e], s.lens[e]);
-  }
-};
-
-/// Phase 1 (one task): encodes `batch` keyed on `cols` (empty = all) and
-/// scatters every row — global id `base_row + i` — into
-/// scatter->parts[router.PartitionOf(hash)]. `router` only provides the
-/// partition routing; `enc` is caller scratch. Tasks own disjoint scatters,
-/// so the phase runs embarrassingly parallel over input morsels.
-void ScatterKeys(const ColumnBatch& batch, const std::vector<int>& cols,
-                 uint32_t base_row, const PartitionedKeyTable& router,
-                 KeyEncoder* enc, KeyScatter* scatter);
-
-/// Phase 2 of the partitioned join build (one partition): folds slice `p`
-/// of every task's scatter, in task order, into bt->groups.part(p) /
-/// bt->heads[p], chaining rows through the shared bt->next (disjoint
-/// elements across partitions). Scatter tasks must cover the build rows in
-/// ascending global order so chains come out row-ordered like the serial
-/// build's.
-void BuildJoinTablePartition(const std::vector<KeyScatter>& scattered,
-                             size_t p, JoinBuildTable* bt);
-
-/// Phase 2 of a partitioned set build (one partition): inserts slice `p` of
-/// every task's scatter, in task order, into table->part(p). When
-/// `first_seen` is non-null, marks first_seen[row] = 1 for each first
-/// occurrence — rows of different partitions are disjoint, so concurrent
-/// partition builders write disjoint bytes. The set-op breakers use this
-/// two ways: difference exclusion sets pass null (membership only); the
-/// partitioned dedupe merge passes the global winner flags its ordered
-/// output phase gathers by.
-void BuildKeySetPartition(const std::vector<KeyScatter>& scattered, size_t p,
-                          PartitionedKeyTable* table, uint8_t* first_seen);
 
 /// Compacts `sel` (row ids into `b`) down to the rows passing every
 /// predicate. Predicate column indices are looked up through `colmap` when
@@ -206,13 +150,11 @@ void FilterSelect(const ColumnBatch& b, const std::vector<PlanPredicate>& preds,
 /// Appends the rows of `b` (projected onto `cols`; empty = all) whose
 /// encoded key is new to `seen`, preserving first-occurrence order. When
 /// `exclude` is non-null, rows whose key is present in it are dropped first
-/// (the difference operator's right-side filter; possibly partition-built,
-/// hence the partitioned type — each key is hashed once and the hash is
-/// shared between the exclusion probe and the `seen` insert). The
-/// set-semantics kernel behind ProjectOp(dedupe)/UnionOp/DiffOp and the
-/// parallel executor's local-dedupe + ordered-merge scheme.
+/// (the difference operator's right-side filter). The set-semantics kernel
+/// behind ProjectOp(dedupe)/UnionOp/DiffOp and the parallel executor's
+/// local-dedupe + ordered-merge scheme.
 void AppendDistinctRows(const ColumnBatch& b, const std::vector<int>& cols,
-                        const PartitionedKeyTable* exclude, KeyTable* seen,
+                        const KeyTable* exclude, KeyTable* seen,
                         KeyEncoder* enc, BatchWriter* w);
 
 /// Cross product of one left batch against a merged right chunk, appended

@@ -208,12 +208,6 @@ void WorkerPool::ParallelFor(size_t n, const GroupOptions& opts,
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-inline double MsSince(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
 /// Per-worker reusable scratch. A worker slot runs at most one morsel at a
 /// time, so each worker's scratch is touched by one thread per item. The
 /// dedupe table is Reset (slots kept) instead of reconstructed per morsel —
@@ -237,175 +231,10 @@ struct ParCtx {
   size_t workers;
   std::vector<ExecStats>& wstats;
   std::vector<WorkerScratch>& scratch;
-  ExecStats* st;  ///< Main-thread stats (breaker accounting; no worker race:
-                  ///< breakers run their serial sections on the caller).
-  const PhysicalPlan* plan;  ///< Observed-build-size feedback slots.
 
   /// Every task group of this execution carries the request's tag.
   WorkerPool::GroupOptions Group() const { return {workers, opts.task_tag}; }
 };
-
-/// Runtime side of the breaker build decision: the partition count the
-/// breaker should actually use, or 0 for the serial build. The *actual*
-/// materialized build must be big enough to amortize the scatter phase
-/// (partitioned_build_min_rows) and there must be real fan-out; the
-/// compile-time hint supplies the partition count, but when it said serial
-/// the actual row count re-picks — compile estimates are frozen while
-/// cached plans stay live across data growth, and second breakers (the
-/// difference's candidate merge) size differently from the hinted side.
-int EffectiveBuildPartitions(int compile_hint, size_t build_rows,
-                             const ParCtx& cx) {
-  if (cx.workers <= 1 || build_rows == 0 ||
-      build_rows < cx.opts.partitioned_build_min_rows) {
-    return 0;
-  }
-  int p = compile_hint > 1 ? compile_hint
-                           : PickBuildPartitions(build_rows);
-  return p > 1 ? p : 0;
-}
-
-/// Feedback-preferring breaker decision: blend the actual materialized
-/// build into the plan's per-slot EWMA, then pick the partition count from
-/// the *observed* size whenever one exists — a cached plan's compile hint
-/// is frozen while data-only deltas grow or shrink its build sides, so the
-/// observation (which tracks the drift with a one-execution lag) beats the
-/// hint. First executions fall back to the hint exactly as before. Counts
-/// the breakers where feedback changed what the hint would have picked.
-int FeedbackBuildPartitions(size_t slot, int compile_hint, size_t build_rows,
-                            ParCtx& cx) {
-  uint64_t observed = cx.plan->ObservedBuildRows(slot);  // Past executions.
-  cx.plan->RecordBuildRows(slot, build_rows);
-  int hint =
-      observed > 0 ? PickBuildPartitions(observed) : compile_hint;
-  if (hint != compile_hint) ++cx.st->build.feedback_repicks;
-  return EffectiveBuildPartitions(hint, build_rows, cx);
-}
-
-/// Phase-1 task layout over a list of input batches: contiguous,
-/// row-balanced batch ranges (one KeyScatter per task), plus each batch's
-/// global starting row. Batch order is global row order, which is what
-/// phase 2 relies on for serial-identical chains.
-struct ScatterPlan {
-  std::vector<std::pair<size_t, size_t>> tasks;  ///< [first, second) batches.
-  std::vector<uint32_t> bases;                   ///< Batch -> first row id.
-};
-
-ScatterPlan PlanScatter(const std::vector<const ColumnBatch*>& batches,
-                        size_t workers) {
-  ScatterPlan sp;
-  sp.bases.reserve(batches.size());
-  size_t total = 0;
-  for (const ColumnBatch* b : batches) {
-    sp.bases.push_back(static_cast<uint32_t>(total));
-    total += b->num_rows();
-  }
-  size_t ntasks = std::max<size_t>(1, std::min(batches.size(), workers * 2));
-  size_t target = total / ntasks + 1;
-  size_t begin = 0, acc = 0;
-  for (size_t b = 0; b < batches.size(); ++b) {
-    acc += batches[b]->num_rows();
-    if (acc >= target && b + 1 < batches.size()) {
-      sp.tasks.emplace_back(begin, b + 1);
-      begin = b + 1;
-      acc = 0;
-    }
-  }
-  if (begin < batches.size()) sp.tasks.emplace_back(begin, batches.size());
-  return sp;
-}
-
-std::vector<const ColumnBatch*> BatchPtrs(const BatchVec& input) {
-  std::vector<const ColumnBatch*> out;
-  out.reserve(input.size());
-  for (const ColumnBatch& b : input) out.push_back(&b);
-  return out;
-}
-
-/// Phase 1 fan-out shared by every partitioned breaker build: scatters the
-/// input batches into per-task per-partition (row, hash, key) slices.
-std::vector<KeyScatter> ScatterPhase(
-    const std::vector<const ColumnBatch*>& batches, const ScatterPlan& sp,
-    const std::vector<int>& key_cols, const PartitionedKeyTable& router,
-    ParCtx& cx) {
-  std::vector<KeyScatter> scattered(sp.tasks.size());
-  cx.pool.ParallelFor(sp.tasks.size(), cx.Group(), [&](size_t w, size_t t) {
-    KeyScatter& ks = scattered[t];
-    ks.parts.resize(router.num_partitions());
-    for (size_t b = sp.tasks[t].first; b < sp.tasks[t].second; ++b) {
-      ScatterKeys(*batches[b], key_cols, sp.bases[b], router,
-                  &cx.scratch[w].enc, &ks);
-    }
-  });
-  return scattered;
-}
-
-/// Two-phase partitioned build of a join table: radix-scatter the build
-/// side, then build every partition's group table and row chains in an
-/// independent task. Output contract identical to BuildJoinTable.
-JoinBuildTable ParallelBuildJoinTable(const BatchVec& right,
-                                      const std::vector<int>& rk,
-                                      int partitions, ParCtx& cx) {
-  BuildStats& bs = cx.st->build;
-  JoinBuildTable bt;
-  size_t total = TotalRows(right);
-  bt.groups = PartitionedKeyTable(static_cast<size_t>(partitions), total);
-  size_t nparts = bt.groups.num_partitions();
-  bt.heads.resize(nparts);
-  bt.next.assign(total, JoinBuildTable::kNone);
-  std::vector<const ColumnBatch*> batches = BatchPtrs(right);
-  ScatterPlan sp = PlanScatter(batches, cx.workers);
-  Clock::time_point t0 = Clock::now();
-  std::vector<KeyScatter> scattered =
-      ScatterPhase(batches, sp, rk, bt.groups, cx);
-  bs.scatter_ms += MsSince(t0);
-  t0 = Clock::now();
-  cx.pool.ParallelFor(nparts, cx.Group(), [&](size_t, size_t p) {
-    BuildJoinTablePartition(scattered, p, &bt);
-  });
-  bs.build_ms += MsSince(t0);
-  bs.partitions += nparts;
-  return bt;
-}
-
-/// Builds a set-semantics key table (the difference's right-side exclusion
-/// set) — partitioned two-phase build when the breaker qualifies, serial
-/// single-partition otherwise.
-PartitionedKeyTable BuildExclusionSet(const BatchVec& right, size_t slot,
-                                      int build_partitions, ParCtx& cx) {
-  BuildStats& bs = cx.st->build;
-  size_t total = TotalRows(right);
-  ++bs.breakers;
-  bs.build_rows += total;
-  int parts = FeedbackBuildPartitions(slot, build_partitions, total, cx);
-  if (parts <= 1) {
-    ++bs.serial;
-    Clock::time_point t0 = Clock::now();
-    PartitionedKeyTable set(1, total);
-    KeyEncoder& enc = cx.scratch[0].enc;
-    for (const ColumnBatch& b : right) {
-      enc.Encode(b, {});
-      for (size_t i = 0; i < b.num_rows(); ++i) {
-        set.InsertOrFind(enc.Key(i), nullptr);
-      }
-    }
-    bs.build_ms += MsSince(t0);
-    return set;
-  }
-  ++bs.partitioned;
-  PartitionedKeyTable set(static_cast<size_t>(parts), total);
-  std::vector<const ColumnBatch*> batches = BatchPtrs(right);
-  ScatterPlan sp = PlanScatter(batches, cx.workers);
-  Clock::time_point t0 = Clock::now();
-  std::vector<KeyScatter> scattered = ScatterPhase(batches, sp, {}, set, cx);
-  bs.scatter_ms += MsSince(t0);
-  t0 = Clock::now();
-  cx.pool.ParallelFor(set.num_partitions(), cx.Group(), [&](size_t, size_t p) {
-    BuildKeySetPartition(scattered, p, &set, nullptr);
-  });
-  bs.build_ms += MsSince(t0);
-  bs.partitions += set.num_partitions();
-  return set;
-}
 
 BatchVec ParallelProduct(const PhysicalOp& s, const BatchVec& left,
                          const BatchVec& right, ParCtx& cx) {
@@ -424,68 +253,22 @@ BatchVec ParallelProduct(const PhysicalOp& s, const BatchVec& left,
 /// Ordered merge over per-morsel locally distinct candidates: keeps the
 /// global first occurrence in morsel order, so the result stream equals the
 /// serial set operator's. Shared by ParallelDistinct and the fused
-/// dedupe-project sink. Small merges run the serial single-table scan; a
-/// merge that qualifies as a partitioned breaker build (compile-time
-/// `build_partitions`, runtime row threshold) runs three phases — parallel
-/// radix scatter, parallel per-partition dedupe marking global
-/// first-occurrence flags, and one ordered flag-gather pass that emits
-/// exactly the serial merge's row stream.
+/// dedupe-project sink; runs on the calling thread.
 BatchVec MergeDistinctCandidates(std::vector<BatchVec>* cand,
                                  const std::vector<ValueType>& types,
-                                 size_t slot, int build_partitions,
                                  ParCtx& cx) {
   if (cand->size() == 1) return std::move(cand->front());  // Already distinct.
-  BuildStats& bs = cx.st->build;
-  std::vector<const ColumnBatch*> flat;
-  for (const BatchVec& cv : *cand) {
-    for (const ColumnBatch& cb : cv) flat.push_back(&cb);
-  }
   size_t total = 0;
-  for (const ColumnBatch* b : flat) total += b->num_rows();
-  ++bs.breakers;
-  bs.build_rows += total;
+  for (const BatchVec& cv : *cand) total += TotalRows(cv);
   BatchVec out;
   BatchWriter w(types, cx.opts.batch_size, &out);
-  int parts = FeedbackBuildPartitions(slot, build_partitions, total, cx);
-  if (parts <= 1) {
-    ++bs.serial;
-    Clock::time_point t0 = Clock::now();
-    KeyTable seen(total);
-    for (const ColumnBatch* cb : flat) {
-      AppendDistinctRows(*cb, {}, nullptr, &seen, &cx.scratch[0].enc, &w);
+  KeyTable seen(total);
+  for (const BatchVec& cv : *cand) {
+    for (const ColumnBatch& cb : cv) {
+      AppendDistinctRows(cb, {}, nullptr, &seen, &cx.scratch[0].enc, &w);
     }
-    w.Finish();
-    bs.build_ms += MsSince(t0);
-    return out;
-  }
-  ++bs.partitioned;
-  PartitionedKeyTable seen(static_cast<size_t>(parts), total);
-  ScatterPlan sp = PlanScatter(flat, cx.workers);
-  Clock::time_point t0 = Clock::now();
-  std::vector<KeyScatter> scattered = ScatterPhase(flat, sp, {}, seen, cx);
-  bs.scatter_ms += MsSince(t0);
-  t0 = Clock::now();
-  // Winner flags are bytes indexed by global candidate row; partitions own
-  // disjoint rows, so concurrent markers touch disjoint bytes.
-  std::vector<uint8_t> first(total, 0);
-  cx.pool.ParallelFor(seen.num_partitions(), cx.Group(),
-                      [&](size_t, size_t p) {
-                        BuildKeySetPartition(scattered, p, &seen, first.data());
-                      });
-  // Ordered gather: scanning candidates in global order and keeping the
-  // flagged rows reproduces the serial merge's stream byte for byte.
-  std::vector<uint32_t> sel;
-  for (size_t b = 0; b < flat.size(); ++b) {
-    const ColumnBatch& cb = *flat[b];
-    sel.clear();
-    for (size_t i = 0; i < cb.num_rows(); ++i) {
-      if (first[sp.bases[b] + i] != 0) sel.push_back(static_cast<uint32_t>(i));
-    }
-    w.WriteGather(cb, sel.data(), sel.size(), {});
   }
   w.Finish();
-  bs.build_ms += MsSince(t0);
-  bs.partitions += seen.num_partitions();
   return out;
 }
 
@@ -493,8 +276,7 @@ BatchVec MergeDistinctCandidates(std::vector<BatchVec>* cand,
 /// pre-filtered against `exclude`) followed by the ordered merge.
 BatchVec ParallelDistinct(const std::vector<const ColumnBatch*>& morsels,
                           const std::vector<ValueType>& types,
-                          const PartitionedKeyTable* exclude, size_t slot,
-                          int build_partitions, ParCtx& cx) {
+                          const KeyTable* exclude, ParCtx& cx) {
   std::vector<BatchVec> cand(morsels.size());
   cx.pool.ParallelFor(morsels.size(), cx.Group(), [&](size_t w, size_t m) {
     WorkerScratch& ws = cx.scratch[w];
@@ -504,34 +286,27 @@ BatchVec ParallelDistinct(const std::vector<const ColumnBatch*>& morsels,
     AppendDistinctRows(*morsels[m], {}, exclude, &ws.dedupe, &ws.enc, &w2);
     w2.Finish();
   });
-  return MergeDistinctCandidates(&cand, types, slot, build_partitions, cx);
+  return MergeDistinctCandidates(&cand, types, cx);
 }
 
-BatchVec ParallelUnion(const PhysicalOp& s, size_t op_id, const BatchVec& left,
+BatchVec ParallelUnion(const PhysicalOp& s, const BatchVec& left,
                        const BatchVec& right, ParCtx& cx) {
   std::vector<const ColumnBatch*> morsels;
   morsels.reserve(left.size() + right.size());
   for (const ColumnBatch& b : left) morsels.push_back(&b);
   for (const ColumnBatch& b : right) morsels.push_back(&b);
-  return ParallelDistinct(morsels, s.out_types, nullptr, op_id,
-                          s.build_partitions, cx);
+  return ParallelDistinct(morsels, s.out_types, nullptr, cx);
 }
 
-BatchVec ParallelDiff(const PhysicalOp& s, size_t op_id, const BatchVec& left,
+BatchVec ParallelDiff(const PhysicalOp& s, const BatchVec& left,
                       const BatchVec& right, ParCtx& cx) {
-  // The right-side exclusion set is a breaker build: partitioned when it
-  // qualifies, serial otherwise. Workers only Find() in the result.
-  PartitionedKeyTable right_set =
-      BuildExclusionSet(right, op_id, s.build_partitions, cx);
+  // The right-side exclusion set is built once on this thread; workers
+  // only Find() in it.
+  KeyTable right_set = BuildKeySet(right, &cx.scratch[0].enc);
   std::vector<const ColumnBatch*> morsels;
   morsels.reserve(left.size());
   for (const ColumnBatch& b : left) morsels.push_back(&b);
-  // The candidate merge is a *second* breaker sized by the left side, not
-  // the exclusion set the compile-time hint was picked for — pass no hint
-  // (and the op's secondary feedback slot) so the merge picks its partition
-  // count from its own observed and actual input.
-  return ParallelDistinct(morsels, s.out_types, &right_set,
-                          op_id + cx.ops.size(), /*build_partitions=*/0, cx);
+  return ParallelDistinct(morsels, s.out_types, &right_set, cx);
 }
 
 /// Executes one fused pipeline: morsels of the materialized source step are
@@ -554,10 +329,8 @@ BatchVec RunPipeline(int sink_id, std::vector<BatchVec>& results,
   int src = p;
   const BatchVec& src_batches = results[static_cast<size_t>(src)];
 
-  // Pipeline breaker: the join build side is materialized once, then built
-  // — partitioned two-phase when the compile-time estimate picked a
-  // partition count and the materialized build is big enough, serial on
-  // this thread otherwise — and shared read-only across all probe workers.
+  // Pipeline breaker: the join build side is materialized and built once on
+  // this thread, then shared read-only across all probe workers.
   bool is_join = s.kind == PlanStep::Kind::kJoin;
   ColumnBatch rscratch;
   const ColumnBatch* rchunk = nullptr;
@@ -569,21 +342,7 @@ BatchVec RunPipeline(int sink_id, std::vector<BatchVec>& results,
     const BatchVec& right = results[static_cast<size_t>(s.right)];
     rchunk = MergedChunk(right, ops[static_cast<size_t>(s.right)].out_types,
                          &rscratch);
-    BuildStats& bs = cx.st->build;
-    ++bs.breakers;
-    bs.build_rows += rchunk->num_rows();
-    int parts = FeedbackBuildPartitions(static_cast<size_t>(sink_id),
-                                        s.build_partitions,
-                                        rchunk->num_rows(), cx);
-    if (parts > 1) {
-      ++bs.partitioned;
-      bt = ParallelBuildJoinTable(right, s.rkey, parts, cx);
-    } else {
-      ++bs.serial;
-      Clock::time_point t0 = Clock::now();
-      bt = BuildJoinTable(*rchunk, s.rkey, &cx.scratch[0].enc);
-      bs.build_ms += MsSince(t0);
-    }
+    bt = BuildJoinTable(*rchunk, s.rkey, &cx.scratch[0].enc);
   }
 
   std::vector<BatchVec> mout(src_batches.size());
@@ -659,9 +418,7 @@ BatchVec RunPipeline(int sink_id, std::vector<BatchVec>& results,
   });
 
   if (s.kind == PlanStep::Kind::kProject && s.dedupe && !mout.empty()) {
-    return MergeDistinctCandidates(&mout, s.out_types,
-                                   static_cast<size_t>(sink_id),
-                                   s.build_partitions, cx);
+    return MergeDistinctCandidates(&mout, s.out_types, cx);
   }
   return ConcatMorsels(&mout);
 }
@@ -677,8 +434,7 @@ Result<Table> ExecutePhysicalPlanParallel(const PhysicalPlan& plan,
       std::max<size_t>(1, std::min(opts.num_threads, WorkerPool::kMaxThreads));
   std::vector<ExecStats> wstats(workers);
   std::vector<WorkerScratch> scratch(workers);
-  ParCtx cx{ops,    opts,    WorkerPool::Shared(), workers,
-            wstats, scratch, st,                   &plan};
+  ParCtx cx{ops, opts, WorkerPool::Shared(), workers, wstats, scratch};
   std::vector<BatchVec> results(ops.size());
 
   for (size_t i = 0; i < ops.size(); ++i) {
@@ -707,11 +463,11 @@ Result<Table> ExecutePhysicalPlanParallel(const PhysicalPlan& plan,
                               results[static_cast<size_t>(s.right)], cx);
         break;
       case PlanStep::Kind::kUnion:
-        out = ParallelUnion(s, i, results[static_cast<size_t>(s.left)],
+        out = ParallelUnion(s, results[static_cast<size_t>(s.left)],
                             results[static_cast<size_t>(s.right)], cx);
         break;
       case PlanStep::Kind::kDiff:
-        out = ParallelDiff(s, i, results[static_cast<size_t>(s.left)],
+        out = ParallelDiff(s, results[static_cast<size_t>(s.left)],
                            results[static_cast<size_t>(s.right)], cx);
         break;
       case PlanStep::Kind::kJoin:

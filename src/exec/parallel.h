@@ -86,19 +86,14 @@ class WorkerPool {
 /// Morsel-driven parallel execution of a compiled plan: workers pull
 /// batch-range morsels of each pipeline's source through fused
 /// fetch→filter→project→probe stages with per-worker reusable scratch.
-/// Pipeline breakers (hash-join build sides, difference exclusion sets,
-/// set-op dedupe merges) run the *two-phase partitioned build* when the
-/// compile-time estimate picked a partition count and the materialized
-/// build clears ExecOptions::partitioned_build_min_rows: workers
-/// radix-scatter the build rows by key-hash prefix into per-task
-/// per-partition slices, then build one independent KeyTable per partition
-/// in parallel, with probes routed by the same hash so the probe path
-/// stays lock-free; small builds fall back to the serial single-partition
-/// build on the calling thread. Set-semantics breakers keep the per-morsel
-/// local dedupe and emit through an ordered merge (flag-gather under the
-/// partitioned build). Per-thread ExecStats are merged at the end;
-/// breaker build phases are timed in ExecStats::build. The produced row
-/// stream is byte-identical to the serial executor's on every path.
+/// Every pipeline breaker (hash-join build side, difference exclusion set,
+/// set-op dedupe merge) builds one KeyTable on the calling thread, which
+/// the probe and dedupe workers then share read-only: a bounded plan's
+/// breakers are built from the fetched data D_Q, whose size the access
+/// constraints' bounds fix independently of |D|. Set-semantics breakers
+/// keep the per-morsel local dedupe and emit through an ordered merge.
+/// Per-thread ExecStats are merged at the end. The produced row stream is
+/// byte-identical to the serial executor's.
 /// Fetch steps run on the calling thread through the plan's FetchSource,
 /// which freezes the mirrors it reads before its own fan-out.
 Result<Table> ExecutePhysicalPlanParallel(const PhysicalPlan& plan,

@@ -22,12 +22,6 @@ bool IsStreamableProducer(const PhysicalOp& p) {
          (p.kind == PlanStep::Kind::kProject && !p.dedupe && !p.cols.empty());
 }
 
-/// Saturating multiply for cardinality estimates.
-uint64_t SatMul(uint64_t a, uint64_t b) {
-  if (a != 0 && b > UINT64_MAX / a) return UINT64_MAX;
-  return a * b;
-}
-
 /// True when op `c` can absorb a streamed producer on edge `via_left`:
 /// filters and projects consume their sole input streaming; a hash join
 /// consumes its *probe* (left) side streaming once the build side is up.
@@ -45,15 +39,6 @@ bool CanAbsorb(const PhysicalOp& c, bool via_left) {
 }
 
 }  // namespace
-
-int PickBuildPartitions(uint64_t build_rows) {
-  if (build_rows < 256) return 0;
-  size_t p = 8;
-  while (p < PartitionedKeyTable::kMaxPartitions && build_rows / p > 8192) {
-    p <<= 1;
-  }
-  return static_cast<int>(p);
-}
 
 Result<PhysicalPlan> PhysicalPlan::Compile(const BoundedPlan& plan,
                                            const IndexSet& indices,
@@ -151,63 +136,6 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const BoundedPlan& plan,
         CanAbsorb(c, via_left)) {
       p.fuse_into = static_cast<int>(i);
     }
-  }
-
-  // Cardinality estimates (saturating, propagated bottom-up from the fetch
-  // indices' live entry counts), then the breaker build decision: each op
-  // that materializes a table at a pipeline breaker — join build side,
-  // difference exclusion set, union / dedupe-projection candidate merge —
-  // records the partition count of its two-phase partitioned build, or 0
-  // when the estimated build is too small for partitioning to pay.
-  for (size_t i = 0; i < pp.ops_.size(); ++i) {
-    PhysicalOp& op = pp.ops_[i];
-    auto est = [&](int ref) { return pp.ops_[static_cast<size_t>(ref)].est_rows; };
-    switch (op.kind) {
-      case PlanStep::Kind::kConst:
-        op.est_rows = 1;
-        break;
-      case PlanStep::Kind::kEmpty:
-        op.est_rows = 0;
-        break;
-      case PlanStep::Kind::kFetch:
-        // A fetch returns whole index buckets; the entry count bounds it.
-        op.est_rows = op.index->NumEntries();
-        break;
-      case PlanStep::Kind::kFilter:
-      case PlanStep::Kind::kProject:
-        op.est_rows = est(op.input);
-        break;
-      case PlanStep::Kind::kProduct:
-        op.est_rows = SatMul(est(op.left), est(op.right));
-        break;
-      case PlanStep::Kind::kJoin:
-        op.est_rows = std::max(est(op.left), est(op.right));
-        op.build_partitions = op.join_cols.empty()
-                                  ? 0  // Cross join: no build table.
-                                  : PickBuildPartitions(est(op.right));
-        break;
-      case PlanStep::Kind::kUnion: {
-        uint64_t sum = est(op.left) + est(op.right);
-        op.est_rows = sum < est(op.left) ? UINT64_MAX : sum;  // Saturate.
-        op.build_partitions = PickBuildPartitions(op.est_rows);
-        break;
-      }
-      case PlanStep::Kind::kDiff:
-        op.est_rows = est(op.left);
-        op.build_partitions = PickBuildPartitions(est(op.right));
-        break;
-    }
-    if (op.kind == PlanStep::Kind::kProject && op.dedupe) {
-      op.build_partitions = PickBuildPartitions(op.est_rows);
-    }
-  }
-
-  // Feedback slots for the breaker decisions above: two per op (primary +
-  // secondary breaker), zeroed = never observed. See ObservedBuildRows().
-  pp.build_feedback_ =
-      std::make_shared<std::vector<std::atomic<uint64_t>>>(2 * pp.ops_.size());
-  for (std::atomic<uint64_t>& slot : *pp.build_feedback_) {
-    slot.store(0, std::memory_order_relaxed);
   }
 
   pp.output_ = plan.output;

@@ -1,9 +1,6 @@
 #ifndef BQE_EXEC_PHYSICAL_PLAN_H_
 #define BQE_EXEC_PHYSICAL_PLAN_H_
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,22 +33,6 @@ struct PhysicalOp {
   std::vector<std::pair<int, int>> join_cols;  // kJoin.
   std::vector<int> lkey, rkey;                 // kJoin, join_cols split.
   std::vector<ValueType> out_types;    // Derived static column types.
-  /// Compile-time output-cardinality estimate (propagated from the fetch
-  /// indices' live entry counts, saturating). Coarse by construction — it
-  /// exists to size the breaker build decision below, not to order joins.
-  uint64_t est_rows = 0;
-  /// Pipeline-breaker build fan-out picked at compile time from the build
-  /// side's `est_rows`: the partition count of the two-phase partitioned
-  /// build (power of two), or 0 when the estimated build looks too small
-  /// for partitioning to pay. Set on kJoin (build = right), kDiff
-  /// (exclusion set = right), kUnion and dedupe kProject (the candidate
-  /// merge). A hint, not a verdict: the executor falls back to the serial
-  /// build when the *actual* materialized build is small
-  /// (ExecOptions::partitioned_build_min_rows) or workers == 1, and
-  /// conversely re-picks a partition count from the actual row count when
-  /// this said serial but the build grew past the threshold (cached plans
-  /// stay live across data-only deltas, so compile estimates go stale).
-  int build_partitions = 0;
   int num_consumers = 0;       // How many later ops read this op's result.
   /// Id of the op this op's output streams into under morsel-driven
   /// execution (-1 = materialized). Set when this op is a streamable
@@ -115,32 +96,6 @@ class PhysicalPlan {
   /// re-decide row-path vs vectorized as tables grow.
   size_t FetchIndexEntries() const;
 
-  /// Observed-build-size feedback: per-breaker EWMAs of the actual rows
-  /// materialized by past executions of this plan, updated by the parallel
-  /// executor and preferred over the frozen compile-time est_rows when
-  /// picking the partitioned-build fan-out (cached plans stay live across
-  /// data-only deltas, so the estimate drifts while the observation
-  /// tracks). Slots: op id for an op's primary breaker (join build side,
-  /// difference exclusion set, union / dedupe-project candidate merge);
-  /// `op id + ops().size()` for the secondary breaker of an op (the
-  /// difference's candidate merge, whose input is not the hinted side).
-  /// 0 means "never observed". Relaxed atomics behind a shared_ptr: the
-  /// plan stays copyable and logically immutable while concurrent
-  /// executions blend in observations; a lost update just delays
-  /// convergence of a sizing hint.
-  uint64_t ObservedBuildRows(size_t slot) const {
-    return (*build_feedback_)[slot].load(std::memory_order_relaxed);
-  }
-
-  /// Blends `rows` into the slot's EWMA (integer, alpha 1/4; floored at 1
-  /// so an observed-empty build still reads as observed).
-  void RecordBuildRows(size_t slot, uint64_t rows) const {
-    std::atomic<uint64_t>& a = (*build_feedback_)[slot];
-    uint64_t old = a.load(std::memory_order_relaxed);
-    uint64_t next = old == 0 ? rows : old - old / 4 + rows / 4;
-    a.store(next == 0 ? 1 : next, std::memory_order_relaxed);
-  }
-
  private:
   PhysicalPlan() = default;
 
@@ -152,23 +107,7 @@ class PhysicalPlan {
   const BoundedPlan* source_plan_ = nullptr;
   const IndexSet* indices_ = nullptr;
   const FetchSource* source_ = nullptr;
-  /// 2 * ops_.size() slots; see ObservedBuildRows().
-  std::shared_ptr<std::vector<std::atomic<uint64_t>>> build_feedback_;
 };
-
-/// Breaker build fan-out for an estimated or actual build cardinality: 0
-/// below the floor where scatter setup dominates (the breaker then builds
-/// serially), otherwise a power of two that grows with the size — more
-/// independent partitions than workers, so finer tasks absorb key skew —
-/// up to PartitionedKeyTable::kMaxPartitions. Compile time applies it to
-/// cardinality estimates (PhysicalOp::build_partitions); the parallel
-/// executor re-applies it to the *actual* materialized row count whenever
-/// the compile-time hint said serial, so a cached plan whose build side
-/// grew under data-only deltas (estimates are frozen at compile, plans
-/// stay live — see core/engine.h) and second breakers whose input differs
-/// from the hinted side (the difference's candidate merge vs its exclusion
-/// set) still engage the partitioned build.
-int PickBuildPartitions(uint64_t build_rows);
 
 /// Executes a compiled plan: serial vectorized dispatch by default,
 /// morsel-driven parallel execution when opts.num_threads > 1, and the

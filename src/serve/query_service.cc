@@ -148,7 +148,7 @@ std::future<QueryResponse> QueryService::Submit(RaExprPtr query) {
   }
   if (!Admit(&r, /*blocking=*/true)) {
     QueryResponse resp;
-    resp.status = Status::FailedPrecondition("query service is shut down");
+    resp.status = Status::Unavailable("query service is shut down");
     r.query_promise.set_value(std::move(resp));
   }
   return f;
@@ -167,8 +167,10 @@ std::future<QueryResponse> QueryService::TrySubmit(RaExprPtr query) {
   }
   if (!Admit(&r, /*blocking=*/false)) {
     QueryResponse resp;
-    resp.status = Status::FailedPrecondition(
-        "admission queue full (load shed) or service shut down");
+    resp.status = queue_.closed()
+                      ? Status::Unavailable("query service is shut down")
+                      : Status::ResourceExhausted(
+                            "admission queue full (load shed)");
     r.query_promise.set_value(std::move(resp));
   }
   return f;
@@ -188,7 +190,7 @@ std::future<DeltaResponse> QueryService::SubmitDeltas(std::vector<Delta> deltas,
   std::future<DeltaResponse> f = r.delta_promise.get_future();
   if (!Admit(&r, /*blocking=*/true)) {
     DeltaResponse resp;
-    resp.status = Status::FailedPrecondition("query service is shut down");
+    resp.status = Status::Unavailable("query service is shut down");
     r.delta_promise.set_value(std::move(resp));
   }
   return f;

@@ -170,14 +170,12 @@ struct ServiceStats {
   };
   std::vector<ShardSection> engine_shards;
   uint64_t scatter_tasks = 0;   ///< Total scatter tasks across shards.
-  uint64_t shard_skew_max = 0;  ///< Max per-shard scatter task count.
-  uint64_t shard_skew_min = 0;  ///< Min per-shard scatter task count.
+  uint64_t shard_skew_max = 0;  ///< Max per-shard routed-delta count.
+  uint64_t shard_skew_min = 0;  ///< Min per-shard routed-delta count.
   /// Result-cache counters (internally consistent; see ResultCacheStats).
   ResultCacheStats result_cache;
-  /// Engine plan-cache counters (lock-free) — including the pipeline-
-  /// breaker build observability (breaker_builds / partitioned_builds /
-  /// build_us), so a service stats endpoint shows whether executions are
-  /// engaging the partitioned parallel build path.
+  /// Engine plan-cache counters (lock-free; summed over shards when
+  /// sharded).
   PlanCacheStats engine;
 };
 
@@ -336,11 +334,12 @@ class QueryService {
 
   /// Async admission with backpressure: blocks while the queue is full.
   /// The future resolves when a dispatcher answers the request; after
-  /// Shutdown() it resolves immediately with FailedPrecondition.
+  /// Shutdown() it resolves immediately with Unavailable.
   std::future<QueryResponse> Submit(RaExprPtr query);
 
-  /// Non-blocking admission: load-sheds (immediate FailedPrecondition
-  /// response, counted in stats().rejected) when the queue is full.
+  /// Non-blocking admission: load-sheds (immediate ResourceExhausted
+  /// response, counted in stats().rejected) when the queue is full;
+  /// Unavailable after Shutdown().
   std::future<QueryResponse> TrySubmit(RaExprPtr query);
 
   /// Blocking convenience: Submit + wait.

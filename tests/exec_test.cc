@@ -231,6 +231,23 @@ TEST(KeyTableTest, AssignsDenseGroupsInInsertionOrder) {
   EXPECT_EQ(t.NumGroups(), 2u);
 }
 
+TEST(KeyTableTest, ResetKeepsSlotCapacityAndClearsGroups) {
+  KeyTable t(4);
+  for (int i = 0; i < 300; ++i) {
+    t.InsertOrFind("k" + std::to_string(i), nullptr);
+  }
+  EXPECT_EQ(t.NumGroups(), 300u);
+  t.Reset(8);
+  EXPECT_EQ(t.NumGroups(), 0u);
+  EXPECT_EQ(t.Find("k5"), KeyTable::kNoGroup);
+  // Reusable: fresh inserts get dense ids again.
+  bool inserted = false;
+  EXPECT_EQ(t.InsertOrFind("again", &inserted), 0u);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(t.InsertOrFind("again", &inserted), 0u);
+  EXPECT_FALSE(inserted);
+}
+
 TEST(OperatorsTest, ProductEmitsLeftOuterLoopOrder) {
   std::vector<ValueType> lt = {ValueType::kInt}, rt = {ValueType::kString};
   BatchVec left = MakeBatches({Row({Value::Int(1)}), Row({Value::Int(2)}),

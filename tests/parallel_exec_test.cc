@@ -200,6 +200,49 @@ std::vector<DiffCase> AllCases() {
 INSTANTIATE_TEST_SUITE_P(Datasets, ParallelExecTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
 
+// A join workload with breaker builds above 4,096 rows (0.25-scale airca,
+// 4 joins, the bench_fig5_join cell with the largest build sides): 4
+// threads must still emit the serial executor's row stream.
+TEST(LargeBuildParallelTest, FourThreadsMatchSerialOnAircaFourJoins) {
+  Result<GeneratedDataset> ds_r = MakeDataset("airca", 0.25, 1234);
+  ASSERT_TRUE(ds_r.ok());
+  GeneratedDataset ds = std::move(*ds_r);
+  Result<IndexSet> indices = IndexSet::Build(ds.db, ds.schema);
+  ASSERT_TRUE(indices.ok());
+
+  QueryGenConfig cfg;
+  cfg.num_sel = 5;
+  cfg.num_join = 4;
+  cfg.seed = 4 * 13 + 3;  // The bench_fig5_join airca 4-join cell.
+  int compared = 0;
+  for (int i = 0; i < 8; ++i) {
+    cfg.seed = cfg.seed * 31 + 1000 + static_cast<uint64_t>(i) * 17;
+    Result<RaExprPtr> q = GenerateCoveredQuery(ds, cfg);
+    if (!q.ok()) continue;
+    Result<NormalizedQuery> nq = Normalize(*q, ds.db.catalog());
+    ASSERT_TRUE(nq.ok());
+    Result<CoverageReport> report = CheckCoverage(*nq, ds.schema);
+    if (!report.ok() || !report->covered) continue;
+    Result<BoundedPlan> plan = GeneratePlan(*nq, *report);
+    ASSERT_TRUE(plan.ok());
+    Result<PhysicalPlan> pp = PhysicalPlan::Compile(*plan, *indices);
+    ASSERT_TRUE(pp.ok());
+
+    Result<Table> serial = ExecutePhysicalPlan(*pp, nullptr, {});
+    ASSERT_TRUE(serial.ok());
+    ExecOptions opts;
+    opts.num_threads = 4;
+    Result<Table> par = ExecutePhysicalPlan(*pp, nullptr, opts);
+    ASSERT_TRUE(par.ok());
+    ASSERT_EQ(serial->NumRows(), par->NumRows());
+    for (size_t r = 0; r < serial->NumRows(); ++r) {
+      ASSERT_EQ(serial->rows()[r], par->rows()[r]) << "row " << r;
+    }
+    ++compared;
+  }
+  ASSERT_GT(compared, 0);
+}
+
 // ------------------------------------------------- task-group scheduling ---
 // The serving layer dispatches concurrent queries as concurrent tagged task
 // groups; these tests pin the WorkerPool refactor that makes that possible.

@@ -219,6 +219,42 @@ TEST(QueryServiceTest, SubmitAfterShutdownResolvesWithError) {
   EXPECT_EQ(service.stats().rejected, 2u);
 }
 
+TEST(QueryServiceTest, LoadShedReturnsResourceExhausted) {
+  GraphChurnFixture fx = MakeGraphChurnFixture();
+  BoundedEngine engine(&fx.db, fx.schema, DeterministicOptions());
+  ASSERT_TRUE(engine.BuildIndices().ok());
+  ServiceOptions opts;
+  opts.queue_capacity = 1;
+  opts.start_paused = true;  // Nothing drains: the queue genuinely fills.
+  QueryService service(&engine, opts);
+
+  RaExprPtr q = FriendsNycCafesQuery(fx.cfg.Pid(0));
+  std::future<QueryResponse> admitted = service.TrySubmit(q);
+  QueryResponse shed = service.TrySubmit(q).get();
+  EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted)
+      << shed.status.ToString();
+  service.Shutdown();
+  EXPECT_TRUE(admitted.get().status.ok());
+}
+
+TEST(QueryServiceTest, EverySubmitAfterShutdownReturnsUnavailable) {
+  GraphChurnFixture fx = MakeGraphChurnFixture();
+  BoundedEngine engine(&fx.db, fx.schema, DeterministicOptions());
+  ASSERT_TRUE(engine.BuildIndices().ok());
+  QueryService service(&engine);
+  service.Shutdown();
+  RaExprPtr q = FriendsNycCafesQuery(fx.cfg.Pid(0));
+  QueryResponse sub = service.Submit(q).get();
+  EXPECT_EQ(sub.status.code(), StatusCode::kUnavailable) << sub.status.ToString();
+  QueryResponse try_sub = service.TrySubmit(q).get();
+  EXPECT_EQ(try_sub.status.code(), StatusCode::kUnavailable)
+      << try_sub.status.ToString();
+  DeltaResponse deltas =
+      service.SubmitDeltas(GraphChurnBatch(fx.cfg, "un", 0)).get();
+  EXPECT_EQ(deltas.status.code(), StatusCode::kUnavailable)
+      << deltas.status.ToString();
+}
+
 // ------------------------------------------------ adaptive batch window ---
 
 TEST(BatchWindowControllerTest, NoGapSignalReportsMaxWindow) {

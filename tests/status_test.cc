@@ -55,6 +55,16 @@ TEST(StatusTest, EveryFactoryRoundTripsItsMessage) {
   }
 }
 
+TEST(StatusTest, ServingCodesHaveStableNamesAndFactories) {
+  EXPECT_STREQ(StatusCodeName(StatusCode::kResourceExhausted),
+               "ResourceExhausted");
+  EXPECT_STREQ(StatusCodeName(StatusCode::kUnavailable), "Unavailable");
+  EXPECT_EQ(Status::ResourceExhausted("queue full").code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(Status::Unavailable("shut down").ToString(),
+            "Unavailable: shut down");
+}
+
 TEST(StatusTest, SameCodeDifferentMessageCompareUnequal) {
   EXPECT_FALSE(Status::NotFound("a") == Status::NotFound("b"));
   EXPECT_TRUE(Status::NotFound("a") == Status::NotFound("a"));
