@@ -324,17 +324,6 @@ JoinBuildTable BuildJoinTable(const ColumnBatch& r, const std::vector<int>& rk,
   return bt;
 }
 
-KeyTable BuildKeySet(const BatchVec& input, KeyEncoder* enc) {
-  KeyTable set(TotalRows(input));
-  for (const ColumnBatch& b : input) {
-    enc->Encode(b, {});
-    for (size_t i = 0; i < b.num_rows(); ++i) {
-      set.InsertOrFind(enc->Key(i), nullptr);
-    }
-  }
-  return set;
-}
-
 void ProbeJoinBatch(const JoinBuildTable& bt, const ColumnBatch& r,
                     const ColumnBatch& lb, const std::vector<int>& lk,
                     KeyEncoder* enc, PairWriter* w) {
@@ -394,8 +383,15 @@ BatchVec UnionOp(const BatchVec& left, const BatchVec& right,
 
 BatchVec DiffOp(const BatchVec& left, const BatchVec& right,
                 const std::vector<ValueType>& out_types, size_t batch_size) {
+  KeyTable right_set(TotalRows(right));
   KeyEncoder enc;
-  KeyTable right_set = BuildKeySet(right, &enc);
+  for (const ColumnBatch& b : right) {
+    enc.Encode(b, {});
+    for (size_t i = 0; i < b.num_rows(); ++i) {
+      right_set.InsertOrFind(enc.Key(i), nullptr);
+    }
+  }
+
   BatchVec out;
   BatchWriter w(out_types, batch_size, &out);
   KeyTable seen(TotalRows(left));

@@ -31,9 +31,8 @@ namespace bqe {
 /// TupleHash on the hot path.
 ///
 /// The building blocks below the classic operators (BatchWriter, PairWriter,
-/// MergedChunk, JoinBuildTable, BuildKeySet, FilterSelect,
-/// AppendDistinctRows, ProductBatch, ProbeJoinBatch, ConcatMorsels) are
-/// exported so the
+/// MergedChunk, JoinBuildTable, FilterSelect, AppendDistinctRows,
+/// ProductBatch, ProbeJoinBatch, ConcatMorsels) are exported so the
 /// morsel-driven parallel executor (exec/parallel.cc) can drive the same
 /// per-batch kernels from worker threads with thread-local scratch. Fetch
 /// steps are not operators here: they read through the plan's FetchSource
@@ -126,10 +125,6 @@ struct JoinBuildTable {
 /// scratch (reused across calls).
 JoinBuildTable BuildJoinTable(const ColumnBatch& r, const std::vector<int>& rk,
                               KeyEncoder* enc);
-
-/// Builds the set of whole-row encoded keys of `input` (the difference's
-/// right-side exclusion set). `enc` is caller scratch.
-KeyTable BuildKeySet(const BatchVec& input, KeyEncoder* enc);
 
 /// Probes every row of `lb` (keyed on `lk`) against a built table, emitting
 /// concatenated (left ++ right) rows through `w`. Flushes `w` before

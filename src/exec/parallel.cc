@@ -302,7 +302,14 @@ BatchVec ParallelDiff(const PhysicalOp& s, const BatchVec& left,
                       const BatchVec& right, ParCtx& cx) {
   // The right-side exclusion set is built once on this thread; workers
   // only Find() in it.
-  KeyTable right_set = BuildKeySet(right, &cx.scratch[0].enc);
+  KeyTable right_set(TotalRows(right));
+  KeyEncoder& enc = cx.scratch[0].enc;
+  for (const ColumnBatch& b : right) {
+    enc.Encode(b, {});
+    for (size_t i = 0; i < b.num_rows(); ++i) {
+      right_set.InsertOrFind(enc.Key(i), nullptr);
+    }
+  }
   std::vector<const ColumnBatch*> morsels;
   morsels.reserve(left.size());
   for (const ColumnBatch& b : left) morsels.push_back(&b);
