@@ -22,6 +22,7 @@ Status Table::Insert(Tuple row) {
     }
   }
   rows_.push_back(std::move(row));
+  if (!locator_.empty()) Locate(rows_.size() - 1);
   return Status::Ok();
 }
 
@@ -45,24 +46,91 @@ Status Table::AppendBatch(const ColumnBatch& batch) {
   rows_.reserve(rows_.size() + batch.num_rows());
   for (size_t i = 0; i < batch.num_rows(); ++i) {
     rows_.push_back(batch.RowToTuple(i));
+    if (!locator_.empty()) Locate(rows_.size() - 1);
   }
   return Status::Ok();
 }
 
-Status Table::Erase(const Tuple& row) {
-  for (auto it = rows_.begin(); it != rows_.end(); ++it) {
-    if (CompareTuples(*it, row) == 0) {
-      rows_.erase(it);
-      return Status::Ok();
+uint32_t Table::RowTag(const Tuple& row) {
+  // Fibonacci hashing: the product's high half depends on every hash bit.
+  return static_cast<uint32_t>(
+      (static_cast<uint64_t>(TupleHash{}(row)) * 0x9e3779b97f4a7c15ULL) >> 32);
+}
+
+void Table::BuildLocator() {
+  size_t slots = 16;
+  while (slots < 2 * rows_.size()) slots *= 2;
+  locator_.assign(slots, Slot{});
+  for (size_t p = 0; p < rows_.size(); ++p) {
+    Place({RowTag(rows_[p]), static_cast<uint32_t>(p)});
+  }
+}
+
+void Table::Locate(size_t pos) {
+  if (2 * rows_.size() > locator_.size()) {
+    std::vector<Slot> old = std::move(locator_);
+    locator_.assign(2 * old.size(), Slot{});
+    for (const Slot& s : old) {
+      if (s.pos != kNoRow) Place(s);
     }
   }
-  return Status::NotFound(StrCat("row ", TupleToString(row), " not in ",
-                                 schema_.name()));
+  Place({RowTag(rows_[pos]), static_cast<uint32_t>(pos)});
+}
+
+void Table::Place(Slot s) {
+  const size_t mask = locator_.size() - 1;
+  size_t i = s.tag & mask;
+  while (locator_[i].pos != kNoRow) i = (i + 1) & mask;
+  locator_[i] = s;
+}
+
+void Table::Unplace(size_t i) {
+  const size_t mask = locator_.size() - 1;
+  for (size_t j = (i + 1) & mask; locator_[j].pos != kNoRow;
+       j = (j + 1) & mask) {
+    // The entry at j may fill the hole unless its home lies in (i, j].
+    size_t home = locator_[j].tag & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      locator_[i] = locator_[j];
+      i = j;
+    }
+  }
+  locator_[i] = Slot{};
+}
+
+Status Table::Erase(const Tuple& row) {
+  if (locator_.empty()) BuildLocator();
+  const size_t mask = locator_.size() - 1;
+  const uint32_t tag = RowTag(row);
+  size_t i = tag & mask;
+  while (locator_[i].pos != kNoRow &&
+         (locator_[i].tag != tag ||
+          CompareTuples(rows_[locator_[i].pos], row) != 0)) {
+    i = (i + 1) & mask;
+  }
+  if (locator_[i].pos == kNoRow) {
+    return Status::NotFound(StrCat("row ", TupleToString(row), " not in ",
+                                   schema_.name()));
+  }
+  // Swap-remove. `row` may alias rows_, so it is not read past this point.
+  const uint32_t hole = locator_[i].pos;
+  const uint32_t last = static_cast<uint32_t>(rows_.size() - 1);
+  Unplace(i);
+  if (hole != last) {
+    const uint32_t last_tag = RowTag(rows_[last]);
+    size_t j = last_tag & mask;
+    while (locator_[j].pos != last) j = (j + 1) & mask;
+    locator_[j].pos = hole;
+    rows_[hole] = std::move(rows_[last]);
+  }
+  rows_.pop_back();
+  return Status::Ok();
 }
 
 void Table::Canonicalize() {
   std::sort(rows_.begin(), rows_.end(), TupleLess{});
   rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
+  locator_ = std::vector<Slot>();
 }
 
 bool Table::SameSet(const Table& a, const Table& b) {
@@ -90,7 +158,8 @@ Table Table::DistinctProject(const std::vector<int>& col_idx) const {
 }
 
 size_t Table::ApproxBytes() const {
-  size_t bytes = sizeof(Table) + rows_.capacity() * sizeof(Tuple);
+  size_t bytes = sizeof(Table) + rows_.capacity() * sizeof(Tuple) +
+                 locator_.capacity() * sizeof(Slot);
   for (const Tuple& row : rows_) {
     bytes += row.capacity() * sizeof(Value);
     for (const Value& v : row) {

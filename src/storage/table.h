@@ -1,6 +1,7 @@
 #ifndef BQE_STORAGE_TABLE_H_
 #define BQE_STORAGE_TABLE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -13,6 +14,19 @@ namespace bqe {
 /// An in-memory row-store relation instance. BQE keeps instances simple:
 /// a schema plus a bag of rows; set semantics are enforced by the relational
 /// operators, not by the store.
+///
+/// Row order is insertion order only until the first Erase: Erase moves the
+/// last row into the hole it leaves. Bounded reads go through the access
+/// indices and never depend on a base table's row order.
+///
+/// Erase finds its row through a private locator (a row hash to positions),
+/// built by the table's first Erase and kept current by every append after
+/// it, so tables that are only ever appended to (query results, generated
+/// data) never pay for one. A row matches when its hash agrees and
+/// `CompareTuples(...) == 0`. CompareTuples treats NaN as equal to any double
+/// while TupleHash does not, so a NaN in the erased row matches only rows
+/// whose hash also agrees. Positions are 32-bit: a table holds fewer than
+/// 2^32 - 1 rows.
 class Table {
  public:
   Table() = default;
@@ -26,7 +40,10 @@ class Table {
   Status Insert(Tuple row);
 
   /// Appends without validation; used by generators on hot paths.
-  void InsertUnchecked(Tuple row) { rows_.push_back(std::move(row)); }
+  void InsertUnchecked(Tuple row) {
+    rows_.push_back(std::move(row));
+    if (!locator_.empty()) Locate(rows_.size() - 1);
+  }
 
   /// Declared column types, in attribute order.
   std::vector<ValueType> ColumnTypes() const;
@@ -39,11 +56,14 @@ class Table {
   /// (per-value types are not re-checked; batches carry their own types).
   Status AppendBatch(const ColumnBatch& batch);
 
-  /// Removes one occurrence of `row`; NotFound when absent.
+  /// Removes one occurrence of `row` in O(1) expected time, moving the last
+  /// row into its place; NotFound (rows unchanged) when absent. `row` may
+  /// refer into rows().
   Status Erase(const Tuple& row);
 
   /// Sorts rows lexicographically and removes duplicates, producing the
   /// canonical set representation (used by tests and result comparison).
+  /// Drops the row locator.
   void Canonicalize();
 
   /// True if the two tables hold the same *set* of rows (ignoring order and
@@ -61,12 +81,30 @@ class Table {
   /// vectors, value slots, and string payloads (small strings count their
   /// inline capacity like any other). Used by byte-capped caches of
   /// materialized results (serve/result_cache) for LRU accounting; it is an
-  /// estimate, not an allocator-exact measurement.
+  /// estimate, not an allocator-exact measurement. Counts the row locator
+  /// once an Erase has built it.
   size_t ApproxBytes() const;
 
  private:
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+  /// One open-addressing slot of the locator: 32 mixed hash bits of a row
+  /// and its position in rows_, or kNoRow when free.
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t pos = kNoRow;
+  };
+
+  static uint32_t RowTag(const Tuple& row);
+  void BuildLocator();
+  /// Adds rows_[pos] to the locator, doubling it past half full.
+  void Locate(size_t pos);
+  void Place(Slot s);
+  /// Frees slot i by backward-shifting the probe chain behind it.
+  void Unplace(size_t i);
+
   RelationSchema schema_;
   std::vector<Tuple> rows_;
+  std::vector<Slot> locator_;  // Empty until the first Erase.
 };
 
 }  // namespace bqe

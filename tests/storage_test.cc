@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "storage/database.h"
 #include "storage/tuple.h"
 
@@ -244,6 +247,204 @@ TEST(TableTest, DistinctProject) {
   Table p = t.DistinctProject({0});
   EXPECT_EQ(p.NumRows(), 2u);
   EXPECT_EQ(p.schema().arity(), 1u);
+}
+
+// ---------------------------------------------------------- Row locator ---
+
+Table MakeMixedTable() {
+  return Table(RelationSchema("m", {{"i", ValueType::kInt},
+                                    {"d", ValueType::kDouble},
+                                    {"s", ValueType::kString}}));
+}
+
+// A small domain per column so rows repeat often; NULLs in every column and
+// both zeros, which CompareTuples treats as equal.
+Tuple RandomMixedRow(Rng* rng) {
+  Tuple row(3);
+  int64_t i = rng->UniformInt(0, 3);
+  if (i > 0) row[0] = Value::Int(i);
+  const double doubles[] = {0.0, -0.0, 1.5};
+  int64_t d = rng->UniformInt(0, 3);
+  if (d > 0) row[1] = Value::Double(doubles[d - 1]);
+  const char* strings[] = {"", "x", "yy"};
+  int64_t str = rng->UniformInt(0, 3);
+  if (str > 0) row[2] = Value::Str(strings[str - 1]);
+  return row;
+}
+
+// Linear-scan reference: removes the first row equal under CompareTuples.
+bool OracleErase(std::vector<Tuple>* rows, const Tuple& row) {
+  for (auto it = rows->begin(); it != rows->end(); ++it) {
+    if (CompareTuples(*it, row) == 0) {
+      rows->erase(it);
+      return true;
+    }
+  }
+  return false;
+}
+
+// Bag equality under CompareTuples, ignoring order.
+void ExpectSameBag(const std::vector<Tuple>& actual,
+                   std::vector<Tuple> expected, const std::string& where) {
+  std::vector<Tuple> got = actual;
+  std::sort(got.begin(), got.end(), TupleLess{});
+  std::sort(expected.begin(), expected.end(), TupleLess{});
+  ASSERT_EQ(got.size(), expected.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(CompareTuples(got[i], expected[i]), 0)
+        << where << ": row " << i << " " << TupleToString(got[i]) << " vs "
+        << TupleToString(expected[i]);
+  }
+}
+
+bool SameRowsInOrder(const std::vector<Tuple>& a, const std::vector<Tuple>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (CompareTuples(a[i], b[i]) != 0) return false;
+  }
+  return true;
+}
+
+TEST(TableLocatorTest, RandomOpsMatchLinearScanOracle) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    Table t = MakeMixedTable();
+    std::vector<Tuple> oracle;
+    for (int step = 0; step < 1500; ++step) {
+      const std::string where = StrCat("seed ", seed, " step ", step);
+      int64_t op = rng.UniformInt(0, 99);
+      if (op < 20) {
+        Tuple row = RandomMixedRow(&rng);
+        oracle.push_back(row);
+        ASSERT_TRUE(t.Insert(std::move(row)).ok()) << where;
+      } else if (op < 30) {
+        Tuple row = RandomMixedRow(&rng);
+        oracle.push_back(row);
+        t.InsertUnchecked(std::move(row));
+      } else if (op < 36) {
+        std::vector<Tuple> batch_rows;
+        int64_t n = rng.UniformInt(1, 40);
+        for (int64_t k = 0; k < n; ++k) {
+          batch_rows.push_back(RandomMixedRow(&rng));
+        }
+        oracle.insert(oracle.end(), batch_rows.begin(), batch_rows.end());
+        for (const ColumnBatch& b :
+             TuplesToBatches(batch_rows, t.ColumnTypes(), 16)) {
+          ASSERT_TRUE(t.AppendBatch(b).ok()) << where;
+        }
+      } else if (op < 80) {
+        // Half the erases name a present row (by value), half a random one.
+        Tuple row = (rng.Bernoulli(0.5) && t.NumRows() > 0)
+                        ? t.rows()[rng.PickIndex(t.NumRows())]
+                        : RandomMixedRow(&rng);
+        std::vector<Tuple> before = t.rows();
+        bool present = OracleErase(&oracle, row);
+        Status st = t.Erase(row);
+        if (present) {
+          ASSERT_TRUE(st.ok()) << where << ": " << st.ToString();
+        } else {
+          ASSERT_EQ(st.code(), StatusCode::kNotFound) << where;
+          ASSERT_TRUE(SameRowsInOrder(t.rows(), before)) << where;
+        }
+      } else if (op < 92) {
+        // Erase through a reference into rows() itself.
+        if (t.NumRows() == 0) continue;
+        const Tuple& row = t.rows()[rng.PickIndex(t.NumRows())];
+        ASSERT_TRUE(OracleErase(&oracle, row)) << where;
+        ASSERT_TRUE(t.Erase(row).ok()) << where;
+      } else if (op < 94) {
+        t.Canonicalize();
+        std::sort(oracle.begin(), oracle.end(), TupleLess{});
+        oracle.erase(std::unique(oracle.begin(), oracle.end()), oracle.end());
+      } else if (op < 97) {
+        Table copy(t);
+        ExpectSameBag(copy.rows(), oracle, where + " (copy)");
+        t = std::move(copy);
+      } else {
+        Table moved(std::move(t));
+        t = moved;
+      }
+      ExpectSameBag(t.rows(), oracle, where);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(TableLocatorTest, BothZerosAreOneRowToErase) {
+  Table t = MakeMixedTable();
+  ASSERT_TRUE(t.Insert({Value::Int(1), Value::Double(0.0), Value()}).ok());
+  ASSERT_TRUE(t.Erase({Value::Int(1), Value::Double(-0.0), Value()}).ok());
+  EXPECT_EQ(t.NumRows(), 0u);
+  ASSERT_TRUE(t.Insert({Value::Int(1), Value::Double(-0.0), Value()}).ok());
+  ASSERT_TRUE(t.Erase({Value::Int(1), Value::Double(0.0), Value()}).ok());
+  EXPECT_EQ(t.NumRows(), 0u);
+}
+
+TEST(TableLocatorTest, NotFoundLeavesRowsUnchanged) {
+  Table t = MakeTable();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(t.Insert({Value::Int(i % 7), Value::Str("x")}).ok());
+  }
+  std::vector<Tuple> before = t.rows();
+  // The first Erase builds the locator; neither call may move a row.
+  EXPECT_EQ(t.Erase({Value::Int(7), Value::Str("x")}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(t.Erase({Value::Int(1), Value()}).code(), StatusCode::kNotFound);
+  EXPECT_TRUE(SameRowsInOrder(t.rows(), before));
+}
+
+TEST(TableLocatorTest, EraseThroughReferenceIntoRows) {
+  // Rows 2 and 4 are duplicates; erase by reference at the first, a middle,
+  // the last and a duplicated position, the locator built or not.
+  const std::vector<Tuple> rows = {
+      {Value::Int(0), Value::Str("a")}, {Value::Int(1), Value::Str("b")},
+      {Value::Int(2), Value::Str("c")}, {Value::Int(3), Value::Str("d")},
+      {Value::Int(2), Value::Str("c")}, {Value::Int(5), Value::Str("e")}};
+  for (bool prebuilt : {false, true}) {
+    for (size_t pos : {size_t{0}, size_t{3}, rows.size() - 1, size_t{2},
+                       size_t{4}}) {
+      Table t = MakeTable();
+      for (const Tuple& r : rows) ASSERT_TRUE(t.Insert(r).ok());
+      if (prebuilt) {
+        ASSERT_EQ(t.Erase({Value::Int(9), Value::Str("z")}).code(),
+                  StatusCode::kNotFound);
+      }
+      std::vector<Tuple> expected = rows;
+      expected.erase(expected.begin() + static_cast<ptrdiff_t>(pos));
+      ASSERT_TRUE(t.Erase(t.rows()[pos]).ok()) << pos;
+      ExpectSameBag(t.rows(), expected, StrCat("position ", pos));
+      // The moved row must still be erasable by value.
+      for (const Tuple& r : expected) ASSERT_TRUE(t.Erase(r).ok()) << pos;
+      EXPECT_EQ(t.NumRows(), 0u);
+    }
+  }
+}
+
+TEST(TableLocatorTest, ErasesExactlyTheNamedRowsAmongManyDistinct) {
+  // Enough random rows that several pairs share the locator's 32 hash bits:
+  // each erase must still confirm its row by comparison.
+  Rng rng(17);
+  Table t(RelationSchema("r", {{"a", ValueType::kInt}}));
+  std::vector<Tuple> erased, kept;
+  for (int i = 0; i < (1 << 18); ++i) {
+    Tuple row = {Value::Int(rng.UniformInt(INT64_MIN, INT64_MAX))};
+    t.InsertUnchecked(row);
+    (i % 2 == 0 ? erased : kept).push_back(std::move(row));
+  }
+  for (const Tuple& row : erased) ASSERT_TRUE(t.Erase(row).ok());
+  ExpectSameBag(t.rows(), kept, "after erasing half");
+}
+
+TEST(TableLocatorTest, ApproxBytesCountsLocatorOnceBuilt) {
+  Table t = MakeTable();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(t.Insert({Value::Int(i), Value::Str("x")}).ok());
+  }
+  size_t before = t.ApproxBytes();
+  ASSERT_TRUE(t.Erase({Value::Int(0), Value::Str("x")}).ok());
+  EXPECT_GT(t.ApproxBytes(), before);
+  t.Canonicalize();
+  EXPECT_LT(t.ApproxBytes(), before);
 }
 
 // -------------------------------------------------------------- Database ---
