@@ -299,9 +299,14 @@ class SpcPlanner {
     return info;
   }
 
-  /// Indexing plan xiI(S) (Section 5.1 / Appendix A): candidate product of
-  /// the unit plans of S's needed attributes, validated against the actual
-  /// XY combinations fetched through the indexing constraint.
+  /// Indexing plan xiI(S) (Section 5.1 / Appendix A): the rows F fetched
+  /// through S's indexing constraint whose needed attributes each lie in
+  /// their class's unit plan, projected onto S's needed attributes. Each
+  /// restriction is a semi-join of F against the deduplicated unit (a filter
+  /// when the unit is a constant), so no step here outgrows |F|. It is
+  /// implied, and left out, for F's X columns, which the fetch drew from
+  /// these same units, and for a column whose unit is this fetch's own
+  /// projection of it.
   Result<int> IndexingPlan(const std::string& occ, std::vector<AttrRef>* cols) {
     int cid = sc_.index_constraint.at(occ);
     if (cid < 0) {
@@ -334,64 +339,85 @@ class SpcPlanner {
       return Append(std::move(s));
     }
 
-    // Candidate product: one column per needed attribute.
-    int cand = -1;
-    std::vector<std::string> names;
+    // The fetch column of each needed attribute, and the restrictions that
+    // are not implied: constants go into one filter, other units are joined.
+    const size_t num_x = actualized_.at(cid).x.size();
+    std::vector<int> fcols;
+    PlanStep filter;
+    filter.kind = PlanStep::Kind::kFilter;
+    std::vector<std::pair<int, int>> semi_joins;  // (fetch column, unit step)
     for (const AttrRef& a : needed) {
-      BQE_ASSIGN_OR_RETURN(int unit, UnitPlan(sc_.uni.ClassOf(a)));
-      names.push_back(a.ToString());
-      if (cand < 0) {
-        cand = unit;
-      } else {
-        PlanStep prod;
-        prod.kind = PlanStep::Kind::kProduct;
-        prod.left = cand;
-        prod.right = unit;
-        prod.col_names = names;
-        BQE_ASSIGN_OR_RETURN(cand, Append(std::move(prod)));
+      auto pos = std::find(fetch.attrs.begin(), fetch.attrs.end(), a.attr);
+      if (pos == fetch.attrs.end()) {
+        return Status::Internal(StrCat("indexing constraint for '", occ,
+                                       "' does not span ", a.ToString()));
       }
+      int fcol = static_cast<int>(pos - fetch.attrs.begin());
+      fcols.push_back(fcol);
+      if (static_cast<size_t>(fcol) < num_x) continue;
+      int cls = fetch.col_classes[static_cast<size_t>(fcol)];
+      if (sc_.uni.class_has_const[static_cast<size_t>(cls)]) {
+        PlanPredicate pp;
+        pp.kind = PlanPredicate::Kind::kColConst;
+        pp.op = CmpOp::kEq;
+        pp.lhs = fcol;
+        pp.constant = sc_.uni.class_const[static_cast<size_t>(cls)];
+        filter.preds.push_back(std::move(pp));
+        continue;
+      }
+      if (UnitProjectsFetch(cls, fd_idx, fetch, fcol)) continue;
+      BQE_ASSIGN_OR_RETURN(int unit, UnitPlan(cls));
+      semi_joins.emplace_back(fcol, unit);
     }
 
-    // Validate against fetched XY rows: join on every needed attribute.
-    std::vector<std::pair<int, int>> on;
-    for (size_t i = 0; i < needed.size(); ++i) {
-      int fcol = -1;
-      for (size_t j = 0; j < fetch.attrs.size(); ++j) {
-        if (fetch.attrs[j] == needed[i].attr) {
-          fcol = static_cast<int>(j);
-          break;
-        }
-      }
-      if (fcol < 0) {
-        return Status::Internal(
-            StrCat("indexing constraint for '", occ, "' does not span ",
-                   needed[i].ToString()));
-      }
-      on.emplace_back(static_cast<int>(i), fcol);
+    int acc = fetch.step;
+    std::vector<std::string> acc_names =
+        plan_->steps[static_cast<size_t>(fetch.step)].col_names;
+    if (!filter.preds.empty()) {
+      filter.input = acc;
+      filter.col_names = acc_names;
+      filter.label = StrCat("xiI(", occ, ") constants");
+      BQE_ASSIGN_OR_RETURN(acc, Append(std::move(filter)));
     }
-    PlanStep join;
-    join.kind = PlanStep::Kind::kJoin;
-    join.left = cand;
-    join.right = fetch.step;
-    join.join_cols = std::move(on);
-    join.col_names = names;
-    for (const std::string& a : fetch.attrs) {
-      join.col_names.push_back(StrCat(occ, ".", a));
+    for (const auto& [fcol, unit] : semi_joins) {
+      PlanStep join;
+      join.kind = PlanStep::Kind::kJoin;
+      join.left = acc;
+      join.right = unit;
+      join.join_cols = {{fcol, 0}};
+      acc_names.push_back(
+          plan_->steps[static_cast<size_t>(unit)].col_names[0]);
+      join.col_names = acc_names;
+      join.label = StrCat("xiI(", occ, ") semi-join ",
+                          acc_names[static_cast<size_t>(fcol)]);
+      BQE_ASSIGN_OR_RETURN(acc, Append(std::move(join)));
     }
-    join.label = StrCat("xiI(", occ, ") validate");
-    BQE_ASSIGN_OR_RETURN(int joined, Append(std::move(join)));
 
     PlanStep proj;
     proj.kind = PlanStep::Kind::kProject;
-    proj.input = joined;
+    proj.input = acc;
     proj.dedupe = true;
-    for (size_t i = 0; i < needed.size(); ++i) {
-      proj.cols.push_back(static_cast<int>(i));
-      proj.col_names.push_back(needed[i].ToString());
-    }
+    proj.cols = std::move(fcols);
+    for (const AttrRef& a : needed) proj.col_names.push_back(a.ToString());
     proj.label = StrCat("xiI(", occ, ")");
     *cols = needed;
     return Append(std::move(proj));
+  }
+
+  /// Whether the unit plan of non-constant class `cls` is column `col` of
+  /// `fetch`, the fetch through induced FD `fd_idx` (case (iii) of
+  /// UnitPlan), decided without appending that unit.
+  bool UnitProjectsFetch(int cls, int fd_idx, const FetchInfo& fetch,
+                         int col) const {
+    int ei = chain_.first_edge[static_cast<size_t>(
+        hg_.class_node[static_cast<size_t>(cls)])];
+    if (ei < 0 ||
+        hg_.graph.edges()[static_cast<size_t>(ei)].payload != fd_idx) {
+      return false;
+    }
+    auto first = std::find(fetch.col_classes.begin(), fetch.col_classes.end(),
+                           cls);
+    return first - fetch.col_classes.begin() == col;
   }
 
   int FdOfConstraint(int constraint_id) const {

@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baseline/eval.h"
+#include "common/rng.h"
+#include "common/strings.h"
 #include "constraints/index.h"
 #include "core/cov.h"
+#include "core/minimize.h"
 #include "core/plan_exec.h"
 #include "core/qplan.h"
 #include "ra/builder.h"
+#include "ra/printer.h"
 #include "testutil.h"
+#include "workload/datasets.h"
+#include "workload/querygen.h"
 
 namespace bqe {
 namespace {
@@ -15,6 +24,79 @@ using testutil::MakeGraphSearch;
 using testutil::MakeQ0Prime;
 using testutil::MakeQ1;
 using testutil::MakeQ3;
+
+bool IsIndexingStep(const PlanStep& s) { return s.label.rfind("xiI(", 0) == 0; }
+
+/// Asserts the plan shape that keeps every intermediate within the rows
+/// fetched: a kProduct only builds a fetch's X input (its consumers are
+/// products, fetches, or the "align X positions" projection feeding a
+/// fetch), and every xiI step is a chain of filters, projections and
+/// semi-joins against one-column deduplicated units down to a kFetch.
+void ExpectProductsOnlyBuildFetchInputs(const BoundedPlan& plan,
+                                        const std::string& where) {
+  for (size_t c = 0; c < plan.steps.size(); ++c) {
+    const PlanStep& s = plan.steps[c];
+    for (int ref : {s.input, s.left, s.right}) {
+      if (ref < 0) continue;
+      const PlanStep& p = plan.steps[static_cast<size_t>(ref)];
+      if (p.kind == PlanStep::Kind::kProduct) {
+        bool builds_input = s.kind == PlanStep::Kind::kFetch ||
+                            s.kind == PlanStep::Kind::kProduct ||
+                            (s.kind == PlanStep::Kind::kProject &&
+                             s.label == "align X positions");
+        EXPECT_TRUE(builds_input)
+            << where << ": product T" << ref << " feeds T" << c << "\n"
+            << plan.ToString();
+      }
+      if (p.label == "align X positions") {
+        EXPECT_EQ(s.kind, PlanStep::Kind::kFetch)
+            << where << ": T" << ref << " feeds T" << c << "\n"
+            << plan.ToString();
+      }
+    }
+    if (!IsIndexingStep(s)) continue;
+    int at = static_cast<int>(c);
+    while (plan.steps[static_cast<size_t>(at)].kind != PlanStep::Kind::kFetch) {
+      const PlanStep& x = plan.steps[static_cast<size_t>(at)];
+      if (x.kind == PlanStep::Kind::kJoin) {
+        const PlanStep& unit = plan.steps[static_cast<size_t>(x.right)];
+        bool one_col_set =
+            unit.kind == PlanStep::Kind::kConst
+                ? unit.row.size() == 1
+                : unit.kind == PlanStep::Kind::kProject && unit.dedupe &&
+                      unit.cols.size() == 1;
+        ASSERT_TRUE(one_col_set && x.join_cols.size() == 1)
+            << where << ": xiI semi-join T" << at << "\n" << plan.ToString();
+        at = x.left;
+      } else {
+        ASSERT_TRUE(x.kind == PlanStep::Kind::kFilter ||
+                    x.kind == PlanStep::Kind::kProject)
+            << where << ": xiI step T" << at << "\n" << plan.ToString();
+        at = x.input;
+      }
+    }
+  }
+}
+
+/// The first kFetch below xiI step `i`: the fetch whose rows it restricts.
+int FetchUnder(const BoundedPlan& plan, int i) {
+  while (plan.steps[static_cast<size_t>(i)].kind != PlanStep::Kind::kFetch) {
+    const PlanStep& s = plan.steps[static_cast<size_t>(i)];
+    i = s.kind == PlanStep::Kind::kJoin ? s.left : s.input;
+  }
+  return i;
+}
+
+/// Rows step `i` materializes: the plan cut off after it, executed.
+size_t StepRows(const BoundedPlan& plan, int i, const IndexSet& indices) {
+  BoundedPlan cut = plan;
+  cut.steps.resize(static_cast<size_t>(i) + 1);
+  cut.output = i;
+  cut.output_names = cut.steps.back().col_names;
+  Result<Table> t = ExecutePlan(cut, indices);
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return t.ok() ? t->NumRows() : 0;
+}
 
 class QPlanTest : public ::testing::Test {
  protected:
@@ -138,6 +220,48 @@ TEST_F(QPlanTest, StaticAccessBoundMatchesPaperArithmetic) {
   double bound = plan.StaticAccessBound();
   EXPECT_GT(bound, 0.0);
   EXPECT_LE(bound, 5000.0 + 5000.0 * 31.0 * 4.0);
+}
+
+TEST_F(QPlanTest, Q1IndexingPlansRestrictTheirFetches) {
+  BoundedPlan plan = Plan(MakeQ1());
+  ExpectProductsOnlyBuildFetchInputs(plan, "Q1");
+  // Only psi2's X input (fid x 2015 x 5) is a product.
+  int products = 0;
+  for (const PlanStep& s : plan.steps) {
+    if (s.kind == PlanStep::Kind::kProduct) ++products;
+  }
+  EXPECT_EQ(products, 2);
+  // xiI(friend) and xiI(dine) are projections of their fetches: friend's
+  // pid is psi1's X and fid's unit is that same fetch column; dine's
+  // attributes are psi2's X, and cid's unit is psi2's own cid column.
+  // xiI(cafe) keeps psi4's rows with city = 'nyc'.
+  for (const char* occ : {"friend", "dine", "cafe"}) {
+    std::string label = StrCat("xiI(", occ, ")");
+    int at = -1;
+    for (size_t i = 0; i < plan.steps.size(); ++i) {
+      if (plan.steps[i].label == label) at = static_cast<int>(i);
+    }
+    ASSERT_GE(at, 0) << label;
+    const PlanStep& proj = plan.steps[static_cast<size_t>(at)];
+    ASSERT_EQ(proj.kind, PlanStep::Kind::kProject) << label;
+    const PlanStep& below = plan.steps[static_cast<size_t>(proj.input)];
+    if (std::string(occ) == "cafe") {
+      ASSERT_EQ(below.kind, PlanStep::Kind::kFilter);
+      ASSERT_EQ(below.preds.size(), 1u);
+      EXPECT_EQ(below.preds[0].constant, Value::Str("nyc"));
+      EXPECT_EQ(plan.steps[static_cast<size_t>(below.input)].kind,
+                PlanStep::Kind::kFetch);
+    } else {
+      EXPECT_EQ(below.kind, PlanStep::Kind::kFetch) << label;
+    }
+  }
+  // The fetches are those of the candidate-product plan, so the access
+  // accounting is too: 9 tuples here, and the 315,000 static bound.
+  ExecStats stats;
+  Table got = Run(plan, &stats);
+  EXPECT_TRUE(Table::SameSet(got, Oracle(MakeQ1())));
+  EXPECT_EQ(stats.tuples_fetched, 9u);
+  EXPECT_EQ(plan.StaticAccessBound(), 315000.0);
 }
 
 TEST_F(QPlanTest, ToStringShowsFetchSyntax) {
@@ -297,6 +421,142 @@ TEST_F(QPlanTest, SharedClassAttributesHandled) {
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(Table::SameSet(*got, Oracle(q)));
 }
+
+// ------------------------------------------------- Indexing plan size ---
+
+/// hub(a, b, c) is indexed by hub((a) -> (b, c), 5); a's and b's classes
+/// are also fetched whole from ra(a) and rb(b), 1000 values each. The units
+/// of hub's needed attributes a, b, c hold 1000, >= 50 and 50 values, so a
+/// candidate product over them has >= 2.5 million rows, while the indexing
+/// fetch returns hub's 50 rows whose a is in ra. Every fifth of those has a
+/// b outside rb.
+struct WideUnitFixture {
+  Database db;
+  AccessSchema schema;
+};
+
+WideUnitFixture MakeWideUnits() {
+  WideUnitFixture fx;
+  auto col = [](const char* n) { return Attribute{n, ValueType::kInt}; };
+  EXPECT_TRUE(fx.db.CreateTable(RelationSchema("ra", {col("a")})).ok());
+  EXPECT_TRUE(fx.db.CreateTable(RelationSchema("rb", {col("b")})).ok());
+  EXPECT_TRUE(
+      fx.db.CreateTable(RelationSchema("hub", {col("a"), col("b"), col("c")}))
+          .ok());
+  for (const char* text : {"ra(() -> (a), 1000)", "rb(() -> (b), 1000)",
+                           "hub((a) -> (b, c), 5)"}) {
+    EXPECT_TRUE(
+        fx.schema.Add(*AccessConstraint::Parse(text), fx.db.catalog()).ok());
+  }
+  for (int64_t v = 0; v < 1000; ++v) {
+    EXPECT_TRUE(fx.db.Insert("ra", {Value::Int(v)}).ok());
+    EXPECT_TRUE(fx.db.Insert("rb", {Value::Int(v)}).ok());
+  }
+  for (int64_t i = 0; i < 50; ++i) {
+    int64_t b = i % 5 == 0 ? 5000 + i : 20 * i;
+    EXPECT_TRUE(fx.db.Insert("hub", {Value::Int(10 * i), Value::Int(b),
+                                     Value::Int(i)})
+                    .ok());
+  }
+  for (int64_t i = 0; i < 30; ++i) {  // Never fetched: a is not in ra.
+    EXPECT_TRUE(fx.db.Insert("hub", {Value::Int(100000 + i), Value::Int(i),
+                                     Value::Int(1000 + i)})
+                    .ok());
+  }
+  return fx;
+}
+
+TEST(QPlanIndexingSizeTest, WideUnitsStayWithinTheFetchedRows) {
+  WideUnitFixture fx = MakeWideUnits();
+  RaExprPtr q = Project(
+      Select(Product(Product(Rel("hub"), Rel("ra")), Rel("rb")),
+             {EqA(A("hub", "a"), A("ra", "a")),
+              EqA(A("hub", "b"), A("rb", "b"))}),
+      {A("hub", "c")});
+  Result<NormalizedQuery> nq = Normalize(q, fx.db.catalog());
+  ASSERT_TRUE(nq.ok()) << nq.status().ToString();
+  Result<CoverageReport> report = CheckCoverage(*nq, fx.schema);
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->covered) << report->Explain();
+  Result<BoundedPlan> plan = GeneratePlan(*nq, *report);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  Result<IndexSet> indices = IndexSet::Build(fx.db, fx.schema);
+  ASSERT_TRUE(indices.ok());
+  ExpectProductsOnlyBuildFetchInputs(*plan, "wide units");
+
+  ExecStats stats;
+  Result<Table> got = ExecutePlan(*plan, *indices, &stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  Result<Table> want = EvaluateBaseline(*nq, fx.db, nullptr);
+  ASSERT_TRUE(want.ok());
+  EXPECT_TRUE(Table::SameSet(*got, *want));
+  EXPECT_EQ(got->NumRows(), 40u);
+
+  // The fetches read ra and rb whole and hub's 50 reachable rows; the
+  // static bound is 1000 + 1000 + 1000 x 5.
+  EXPECT_EQ(stats.tuples_fetched, 2050u);
+  EXPECT_EQ(plan->StaticAccessBound(), 7000.0);
+  EXPECT_LE(stats.intermediate_rows, 4 * stats.tuples_fetched);
+
+  int indexing_steps = 0;
+  for (size_t i = 0; i < plan->steps.size(); ++i) {
+    if (!IsIndexingStep(plan->steps[i])) continue;
+    ++indexing_steps;
+    int at = static_cast<int>(i);
+    size_t fetched = StepRows(*plan, FetchUnder(*plan, at), *indices);
+    EXPECT_LE(StepRows(*plan, at, *indices), fetched)
+        << plan->steps[i].label << "\n" << plan->ToString();
+  }
+  EXPECT_GE(indexing_steps, 3);
+}
+
+class QPlanShapeTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(QPlanShapeTest, GeneratedPlansOnlyMultiplyFetchInputs) {
+  Result<GeneratedDataset> ds = MakeDataset(GetParam(), 0.02, 1234);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  Result<IndexSet> indices = IndexSet::Build(ds->db, ds->schema);
+  ASSERT_TRUE(indices.ok());
+  constexpr int kQueries = 100;
+  Rng rng(2016);
+  int planned = 0;
+  for (int attempt = 0; planned < kQueries && attempt < 10 * kQueries;
+       ++attempt) {
+    QueryGenConfig cfg;
+    cfg.num_sel = static_cast<int>(rng.UniformInt(4, 9));
+    cfg.num_join = static_cast<int>(rng.UniformInt(0, 5));
+    cfg.num_unidiff = static_cast<int>(rng.UniformInt(0, 3));
+    cfg.seed = static_cast<uint64_t>(rng.UniformInt(0, 1 << 30));
+    Result<RaExprPtr> q = GenerateCoveredQuery(*ds, cfg);
+    if (!q.ok()) continue;
+    ++planned;
+    Result<NormalizedQuery> nq = Normalize(*q, ds->db.catalog());
+    ASSERT_TRUE(nq.ok()) << nq.status().ToString();
+    std::string where = StrCat(GetParam(), " query ", planned, ": ",
+                               ToAlgebraString(nq->root()));
+    Result<CoverageReport> report = CheckCoverage(*nq, ds->schema);
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report->covered) << where;
+    Result<MinimizeResult> m =
+        MinimizeAccess(*nq, ds->schema, *report, MinimizeAlgo::kGreedy);
+    ASSERT_TRUE(m.ok()) << where << ": " << m.status().ToString();
+    Result<Table> want = EvaluateBaseline(*nq, ds->db, nullptr);
+    ASSERT_TRUE(want.ok()) << where;
+    for (const CoverageReport* r : {&*report, &m->report}) {
+      std::string schema = r == &*report ? " (full schema)" : " (minimized)";
+      Result<BoundedPlan> plan = GeneratePlan(*nq, *r);
+      ASSERT_TRUE(plan.ok()) << where << schema;
+      ExpectProductsOnlyBuildFetchInputs(*plan, where + schema);
+      Result<Table> got = ExecutePlan(*plan, *indices);
+      ASSERT_TRUE(got.ok()) << where << schema;
+      EXPECT_TRUE(Table::SameSet(*got, *want)) << where << schema;
+    }
+  }
+  EXPECT_EQ(planned, kQueries);
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, QPlanShapeTest,
+                         ::testing::Values("airca", "tfacc", "mcbm"));
 
 }  // namespace
 }  // namespace bqe

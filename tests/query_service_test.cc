@@ -540,10 +540,10 @@ TEST(QueryServiceTest, OversizedMaintenanceHandleIsDeclinedOnce) {
   BoundedEngine engine(&fx.db, fx.schema, DeterministicOptions());
   ASSERT_TRUE(engine.BuildIndices().ok());
   ServiceOptions opts;
-  // The handle for this 3-relation join view retains ~0.5 MiB of join
-  // bags; a 1 MiB cache makes the size bound (capacity / 8 = 128 KiB)
+  // The handle for this 3-relation join view retains ~120 KB of join
+  // bags; a 224 KiB cache makes the size bound (capacity / 8 = 28 KiB)
   // refuse it while the few-hundred-byte result itself caches fine.
-  opts.result_cache_bytes = 1u << 20;
+  opts.result_cache_bytes = 224u << 10;
   QueryService service(&engine, opts);
 
   RaExprPtr q = FriendsNycCafesQuery(fx.cfg.Pid(3));

@@ -97,12 +97,12 @@ TEST(ResultCacheStressTest, CachedReadsStayCoherentUnderDeltaChurn) {
   ServiceOptions sopts;
   sopts.shards = 3;
   sopts.batch_window = 16;
-  // A maintenance handle retains the plan's intermediate bags (~0.5 MiB for
+  // A maintenance handle retains the plan's intermediate bags (~120 KB for
   // these 3-relation join queries — far more than the 19-row result it
   // maintains, and all charged to the entry honestly). Size the budget so
   // the kHotQueries working set is never evicted mid-check and no single
   // entry is oversized, but kFloodQueries distinct entries cannot all fit.
-  sopts.result_cache_bytes = 8u << 20;
+  sopts.result_cache_bytes = 1700u << 10;
   QueryService service(&engine, sopts);
 
   // Phase 1: concurrent storm. Clients hammer the hot fingerprints while a
@@ -222,7 +222,7 @@ TEST(ResultCacheStressTest, CachedReadsStayCoherentUnderDeltaChurn) {
 
   // Phase 3: flood with distinct fingerprints so total entry bytes exceed
   // the byte budget and LRU eviction provably runs. Handles are
-  // reuse-promoted and carry the weight (~0.5 MiB of retained join bags vs
+  // reuse-promoted and carry the weight (~120 KB of retained join bags vs
   // a few hundred result bytes), so each fingerprint is read once, swept
   // by one more batch, and read again — the second executions retain
   // handles and their bytes overflow the budget.
