@@ -61,6 +61,11 @@ Status BoundedEngine::BuildIndices() {
   schema_epoch_ += indices_.BoundsEpoch() + 1;
   BQE_ASSIGN_OR_RETURN(indices_, IndexSet::Build(*db_, schema_,
                                                  options_.mirror_patch_budget));
+  // Set-up, not the first delete, pays each base table's row-locator build:
+  // a delete runs under the writer's exclusive hold.
+  for (const std::string& rel : db_->catalog().RelationNames()) {
+    db_->GetMutable(rel)->BuildLocator();
+  }
   indices_built_ = true;
   ClearPlanCache();
   schema_stamp_.store(SchemaEpoch(), std::memory_order_release);

@@ -251,8 +251,10 @@ class alignas(64) BoundedEngine : public Engine {
   BoundedEngine(Database* db, AccessSchema schema, EngineOptions options = {},
                 const FetchSource& source = LocalFetchSource());
 
-  /// C1: builds all indices. Must be called before Prepare/Execute.
-  /// Fails with ConstraintViolation if the data does not satisfy A.
+  /// C1: builds all indices, and every base table's row locator
+  /// (Table::BuildLocator) so no delete pays it. Must be called before
+  /// Prepare/Execute. Fails with ConstraintViolation if the data does not
+  /// satisfy A.
   Status BuildIndices();
 
   /// C2-C5 for one query (uncached analysis; no compilation).

@@ -177,12 +177,12 @@ std::unique_ptr<PlanMaintenance> PlanMaintenance::Build(
     OpState& st = *m->states_.back();
     st.left.key_cols = op.lkey;    // Both empty for kProduct: one
     st.right.key_cols = op.rkey;   // bucket, i.e. the nested loop.
-    if (op.kind == PlanStep::Kind::kFetch &&
-        (op.index == nullptr ||
-         !m->plan_->source().PatchLogSince(*op.index, &st.log_stamp,
-                                           nullptr))) {
+    if (op.kind != PlanStep::Kind::kFetch) continue;
+    if (op.index == nullptr ||
+        !m->plan_->source().PatchLogSince(*op.index, &st.log_stamp, nullptr)) {
       return nullptr;
     }
+    m->fetches_.emplace_back(op.index, &st);
   }
 
   // The snapshot is one all-insert batch into that empty state: the
@@ -572,6 +572,45 @@ bool PlanMaintenance::Propagate(const WriterPriorityGate& gate,
     if (over_cap()) return false;
   }
   *result = std::move(dio[static_cast<size_t>(plan_->output())]);
+  return true;
+}
+
+const std::unordered_set<std::string>& TouchedKeys::Of(
+    const AccessIndex& binding) {
+  auto [it, fresh] = by_binding_.try_emplace(&binding);
+  if (fresh) {
+    const std::string& rel = binding.constraint().rel;
+    for (const Delta& d : deltas_) {
+      if (d.rel == rel) it->second.insert(Enc(binding.FetchKeyOf(d.row)));
+    }
+  }
+  return it->second;
+}
+
+bool PlanMaintenance::SkipIfUntouched(const WriterPriorityGate& gate,
+                                      TouchedKeys* touched) {
+  (void)gate;  // Capability parameter: the REQUIRES contract is it.
+  if (dead_) return false;
+  for (const auto& [index, st] : fetches_) {
+    const std::unordered_set<std::string>& keys = touched->Of(*index);
+    if (keys.empty()) continue;
+    if (keys.size() <= st->probed.size()) {
+      for (const std::string& k : keys) {
+        if (st->probed.count(k) != 0) return false;
+      }
+    } else {
+      for (const auto& [k, e] : st->probed) {
+        if (keys.count(k) != 0) return false;
+      }
+    }
+  }
+  // Untouched: the batch's log events (if any) all land on keys this handle
+  // never probed, so the cursors skip them.
+  for (const auto& [index, st] : fetches_) {
+    if (touched->Of(*index).empty()) continue;  // Nothing logged.
+    st->log_stamp.clear();
+    plan_->source().PatchLogSince(*index, &st->log_stamp, nullptr);
+  }
   return true;
 }
 

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/rw_gate.h"
@@ -53,6 +54,25 @@ struct RefreshStats {
   double classify_us = 0.0;
   double propagate_us = 0.0;
   double patch_us = 0.0;
+};
+
+/// The encoded fetch keys one applied delta batch lands on, per bound
+/// index: `Enc(binding.FetchKeyOf(d.row))` over the batch's deltas on the
+/// binding's relation, built on first request and shared by every handle
+/// the batch is pushed through. A delta changes only that one bucket of each
+/// index over its relation, so the set covers every bucket patch-log event
+/// the batch logged — however the log was truncated since, and whichever
+/// shard of a routed source owns the key.
+class TouchedKeys {
+ public:
+  explicit TouchedKeys(const std::vector<Delta>& deltas) : deltas_(deltas) {}
+
+  const std::unordered_set<std::string>& Of(const AccessIndex& binding);
+
+ private:
+  const std::vector<Delta>& deltas_;
+  std::unordered_map<const AccessIndex*, std::unordered_set<std::string>>
+      by_binding_;
 };
 
 /// Incremental view maintenance of one cached bounded-query result: the
@@ -158,6 +178,17 @@ class PlanMaintenance {
                          std::shared_ptr<const Table>* patched,
                          RefreshStats* stats = nullptr) REQUIRES(gate);
 
+  /// Advances the handle past an applied batch that lands on none of its
+  /// retained probe keys, and reports whether it did. Such a batch leaves
+  /// every fetch's output unchanged — a delta moves only the bucket its own
+  /// fetch key names — and so, op by op, the plan's output: the cached table
+  /// is already the post-batch answer, and only each fetch's patch-log
+  /// cursor moves to the current position, as Build() stamps it. False
+  /// leaves the state untouched; the batch then goes through Refresh().
+  /// Same calling discipline as Refresh().
+  bool SkipIfUntouched(const WriterPriorityGate& gate, TouchedKeys* touched)
+      REQUIRES(gate);
+
   /// Estimated heap footprint of the retained state (fetch buckets, join
   /// side bags, multiplicity maps). Counted into the result cache's byte
   /// cap so retained build state competes with result bytes honestly.
@@ -186,6 +217,8 @@ class PlanMaintenance {
 
   std::shared_ptr<const PhysicalPlan> plan_;
   std::vector<std::unique_ptr<OpState>> states_;  // Index-aligned with ops().
+  /// The fetch ops with their retained state: what SkipIfUntouched checks.
+  std::vector<std::pair<const AccessIndex*, OpState*>> fetches_;
   /// Relations the plan's fetch indices read: the delta classification set.
   std::unordered_set<std::string> read_rels_;
   size_t approx_bytes_ = 0;

@@ -18,13 +18,13 @@ size_t EntryBytes(const std::string& fingerprint,
 
 }  // namespace
 
-void ResultCache::EraseLocked(Lru::iterator it) {
+void ResultCache::EraseLocked(Lru::iterator it, Lru* dead) {
   bytes_ -= it->bytes;
   map_.erase(std::string_view(it->fingerprint));
-  lru_.erase(it);
+  dead->splice(dead->end(), lru_, it);
 }
 
-bool ResultCache::InsertLocked(Entry e) {
+bool ResultCache::InsertLocked(Entry&& e, Lru* dead) {
   e.bytes = EntryBytes(e.fingerprint, e.result, e.maint.get());
   if (e.bytes > capacity_) {
     ++oversized_;
@@ -35,7 +35,7 @@ bool ResultCache::InsertLocked(Entry e) {
     // Overwrite: a stale predecessor counts as invalidated; a same-snapshot
     // overwrite is just two executions racing to insert one answer.
     if (it->second->snap != e.snap) ++invalidations_;
-    EraseLocked(it->second);
+    EraseLocked(it->second, dead);
   }
   size_t bytes = e.bytes;
   lru_.push_front(std::move(e));
@@ -43,7 +43,7 @@ bool ResultCache::InsertLocked(Entry e) {
   bytes_ += bytes;
   ++insertions_;
   while (bytes_ > capacity_ && lru_.size() > 1) {
-    EraseLocked(std::prev(lru_.end()));
+    EraseLocked(std::prev(lru_.end()), dead);
     ++evictions_;
   }
   return true;
@@ -51,6 +51,7 @@ bool ResultCache::InsertLocked(Entry e) {
 
 bool ResultCache::Lookup(const std::string& fingerprint,
                          const CoherenceSnapshot& now, CachedResult* out) {
+  Lru dead;  // Destroyed after the lock is released.
   MutexLock lk(&mu_);
   ++lookups_;
   auto it = map_.find(std::string_view(fingerprint));
@@ -60,11 +61,15 @@ bool ResultCache::Lookup(const std::string& fingerprint,
   }
   if (it->second->snap != now) {
     // A delta batch (or schema event) moved the engine's coherence snapshot
-    // since this result was produced: the lazy invalidation backstop (the
-    // eager Refresh/SweepStale path usually gets there first).
-    EraseLocked(it->second);
-    ++invalidations_;
+    // since this result was produced. A maintained entry stays: the writer
+    // that moved the snapshot refreshes or sweeps it before releasing its
+    // exclusive hold. Anything else takes the lazy invalidation backstop
+    // (the eager Refresh/SweepStale path usually gets there first).
     ++misses_;
+    if (it->second->maint == nullptr) {
+      EraseLocked(it->second, &dead);
+      ++invalidations_;
+    }
     return false;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // Move to MRU.
@@ -81,8 +86,9 @@ void ResultCache::Insert(const std::string& fingerprint,
   e.snap = snap;
   e.result = std::move(result);
   e.maint = std::move(maint);
+  Lru dead;  // Like `e` when oversized, destroyed after the lock.
   MutexLock lk(&mu_);
-  InsertLocked(std::move(e));
+  InsertLocked(std::move(e), &dead);
 }
 
 RefreshSummary ResultCache::Refresh(const WriterPriorityGate& gate,
@@ -90,31 +96,60 @@ RefreshSummary ResultCache::Refresh(const WriterPriorityGate& gate,
                                     const CoherenceSnapshot& pre,
                                     const CoherenceSnapshot& post) {
   RefreshSummary summary;
-  // Unlink every refresh candidate (fresh-as-of-`pre`, with a handle) and
-  // sweep everything else stale. Unlinking before patching means a
-  // concurrent admission-time Lookup can only miss, never observe a
-  // half-patched entry; the caller's exclusion (exclusive writer gate)
-  // keeps Insert and other Refresh calls out entirely.
+  // Every entry leaving the cache dies with these, after the last unlock.
   std::vector<Entry> work;
+  Lru dead;
+  // Sweep everything stale that cannot be refreshed, and collect the refresh
+  // candidates: fresh-as-of-`pre`, with a handle.
+  std::vector<Lru::iterator> candidates;
   {
     MutexLock lk(&mu_);
     for (auto it = lru_.begin(); it != lru_.end();) {
       auto next = std::next(it);
       if (it->snap == post) {
-        it = next;  // Already fresh (nothing applied, or re-inserted).
-        continue;
-      }
-      if (it->snap == pre && it->maint != nullptr) {
-        bytes_ -= it->bytes;
-        map_.erase(std::string_view(it->fingerprint));
-        work.push_back(std::move(*it));
-        lru_.erase(it);
+        // Already fresh (nothing applied, or re-inserted).
+      } else if (it->snap == pre && it->maint != nullptr) {
+        candidates.push_back(it);
       } else {
-        EraseLocked(it);
+        EraseLocked(it, &dead);
         ++evicted_stale_;
         ++summary.swept;
       }
       it = next;
+    }
+  }
+
+  // The touched-key check runs outside the mutex: it reads and re-stamps
+  // only handle state, which no lookup reads, and the candidates stay
+  // linked — a lookup drops only handle-less entries, and the caller's
+  // exclusion keeps Insert and every other mutation out.
+  TouchedKeys touched(deltas);
+  std::vector<bool> skip;
+  skip.reserve(candidates.size());
+  for (Lru::iterator it : candidates) {
+    skip.push_back(it->maint->SkipIfUntouched(gate, &touched));
+  }
+
+  // Re-key the untouched candidates in place and unlink the touched ones.
+  // Unlinking before patching means a concurrent admission-time Lookup can
+  // only miss, never observe a half-patched entry.
+  {
+    MutexLock lk(&mu_);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      Lru::iterator it = candidates[i];
+      if (skip[i]) {
+        it->snap = post;
+        it->result.refreshed = true;
+        ++refreshes_;
+        ++refresh_skips_;
+        ++summary.refreshed;
+        ++summary.refresh_skips;
+      } else {
+        bytes_ -= it->bytes;
+        map_.erase(std::string_view(it->fingerprint));
+        work.push_back(std::move(*it));
+        lru_.erase(it);
+      }
     }
   }
 
@@ -125,6 +160,12 @@ RefreshSummary ResultCache::Refresh(const WriterPriorityGate& gate,
     RefreshStats rs;
     RefreshOutcome outcome =
         e.maint->Refresh(gate, deltas, e.result.table, &patched, &rs);
+    if (outcome == RefreshOutcome::kRefreshed) {
+      // The pre-batch table moves to `patched`, which dies after the lock.
+      e.snap = post;
+      e.result.table.swap(patched);
+      e.result.refreshed = true;
+    }
     MutexLock lk(&mu_);
     // The per-refresh micro-counters accumulate on every attempt: a
     // fallback still did classify/propagate work (and its
@@ -143,11 +184,8 @@ RefreshSummary ResultCache::Refresh(const WriterPriorityGate& gate,
       summary.fallback_fingerprints.push_back(std::move(e.fingerprint));
       continue;  // Entry dropped; the next read recomputes + rebuilds.
     }
-    e.snap = post;
-    e.result.table = std::move(patched);
-    e.result.refreshed = true;
     refreshed_rows_ += rs.rows_added + rs.rows_removed;
-    if (InsertLocked(std::move(e))) {
+    if (InsertLocked(std::move(e), &dead)) {
       ++refreshes_;
       ++summary.refreshed;
       --insertions_;  // A refresh re-link is not a fresh insertion.
@@ -162,11 +200,12 @@ RefreshSummary ResultCache::Refresh(const WriterPriorityGate& gate,
 }
 
 void ResultCache::SweepStale(const CoherenceSnapshot& now) {
+  Lru dead;  // Destroyed after the lock is released.
   MutexLock lk(&mu_);
   for (auto it = lru_.begin(); it != lru_.end();) {
     auto next = std::next(it);
     if (it->snap != now) {
-      EraseLocked(it);
+      EraseLocked(it, &dead);
       ++evicted_stale_;
     }
     it = next;
@@ -174,9 +213,10 @@ void ResultCache::SweepStale(const CoherenceSnapshot& now) {
 }
 
 void ResultCache::Clear() {
+  Lru dead;  // Destroyed after the lock is released.
   MutexLock lk(&mu_);
   map_.clear();
-  lru_.clear();
+  dead.swap(lru_);
   bytes_ = 0;
 }
 
@@ -194,6 +234,7 @@ ResultCacheStats ResultCache::stats() const {
   s.entries = lru_.size();
   s.evicted_stale = evicted_stale_;
   s.refreshes = refreshes_;
+  s.refresh_skips = refresh_skips_;
   s.refresh_fallbacks = refresh_fallbacks_;
   s.refreshed_rows = refreshed_rows_;
   s.bucket_diff_hits = bucket_diff_hits_;

@@ -58,6 +58,7 @@ uint32_t Table::RowTag(const Tuple& row) {
 }
 
 void Table::BuildLocator() {
+  if (!locator_.empty()) return;
   size_t slots = 16;
   while (slots < 2 * rows_.size()) slots *= 2;
   locator_.assign(slots, Slot{});
@@ -99,7 +100,7 @@ void Table::Unplace(size_t i) {
 }
 
 Status Table::Erase(const Tuple& row) {
-  if (locator_.empty()) BuildLocator();
+  BuildLocator();
   const size_t mask = locator_.size() - 1;
   const uint32_t tag = RowTag(row);
   size_t i = tag & mask;

@@ -20,12 +20,12 @@ namespace bqe {
 /// indices and never depend on a base table's row order.
 ///
 /// Erase finds its row through a private locator (a row hash to positions),
-/// built by the table's first Erase and kept current by every append after
-/// it, so tables that are only ever appended to (query results, generated
-/// data) never pay for one. A row matches when its hash agrees and
-/// `CompareTuples(...) == 0`. CompareTuples treats NaN as equal to any double
-/// while TupleHash does not, so a NaN in the erased row matches only rows
-/// whose hash also agrees. Positions are 32-bit: a table holds fewer than
+/// built by BuildLocator() or else by the table's first Erase, and kept
+/// current by every append after it, so tables that are only ever appended
+/// to (query results, generated data) never pay for one. A row matches when
+/// its hash agrees and `CompareTuples(...) == 0`. CompareTuples treats NaN
+/// as equal to any double while TupleHash does not, so a NaN in the erased
+/// row matches only rows whose hash also agrees. Positions are 32-bit: a table holds fewer than
 /// 2^32 - 1 rows.
 class Table {
  public:
@@ -61,6 +61,12 @@ class Table {
   /// refer into rows().
   Status Erase(const Tuple& row);
 
+  /// Builds the row locator unless it is already built, so no later Erase
+  /// pays the O(rows) build. BoundedEngine::BuildIndices() calls it on every
+  /// base table, before any write.
+  void BuildLocator();
+  bool has_locator() const { return !locator_.empty(); }
+
   /// Sorts rows lexicographically and removes duplicates, producing the
   /// canonical set representation (used by tests and result comparison).
   /// Drops the row locator.
@@ -82,7 +88,7 @@ class Table {
   /// inline capacity like any other). Used by byte-capped caches of
   /// materialized results (serve/result_cache) for LRU accounting; it is an
   /// estimate, not an allocator-exact measurement. Counts the row locator
-  /// once an Erase has built it.
+  /// once it is built.
   size_t ApproxBytes() const;
 
  private:
@@ -95,7 +101,6 @@ class Table {
   };
 
   static uint32_t RowTag(const Tuple& row);
-  void BuildLocator();
   /// Adds rows_[pos] to the locator, doubling it past half full.
   void Locate(size_t pos);
   void Place(Slot s);
@@ -104,7 +109,7 @@ class Table {
 
   RelationSchema schema_;
   std::vector<Tuple> rows_;
-  std::vector<Slot> locator_;  // Empty until the first Erase.
+  std::vector<Slot> locator_;  // Empty until built.
 };
 
 }  // namespace bqe

@@ -8,6 +8,7 @@
 #include "core/plan2sql.h"
 #include "core/qplan.h"
 #include "ra/builder.h"
+#include "workload/graph_churn.h"
 #include "testutil.h"
 
 namespace bqe {
@@ -176,6 +177,27 @@ TEST_F(EngineTest, ApplyDeltasKeepsAnswersFresh) {
   Result<Table> oracle = EvaluateBaseline(*nq, fx_.db, nullptr);
   ASSERT_TRUE(oracle.ok());
   EXPECT_TRUE(Table::SameSet(r->table, *oracle));
+}
+
+TEST(EngineLocatorTest, BuildIndicesBuildsEveryRowLocatorSoFirstDeleteBuildsNone) {
+  // Set-up pays each base table's row-locator build: the first delete runs
+  // under a writer's exclusive hold and must not hash the whole table.
+  workload::GraphChurnFixture fx = workload::MakeGraphChurnFixture();
+  BoundedEngine engine(&fx.db, fx.schema);
+  for (const std::string& rel : fx.db.catalog().RelationNames()) {
+    EXPECT_FALSE(fx.db.Get(rel)->has_locator()) << rel;
+  }
+  ASSERT_TRUE(engine.BuildIndices().ok());
+  for (const std::string& rel : fx.db.catalog().RelationNames()) {
+    EXPECT_TRUE(fx.db.Get(rel)->has_locator()) << rel;
+  }
+  const Table& dine = *fx.db.Get("dine");
+  ASSERT_GT(dine.NumRows(), 1000u);  // A locator outweighs any one row.
+  Tuple victim = dine.rows().front();
+  const size_t before = dine.ApproxBytes();
+  ASSERT_TRUE(engine.Apply({Delta::Delete("dine", victim)}).ok());
+  // One row fewer and no locator allocated: the footprint cannot grow.
+  EXPECT_LE(dine.ApproxBytes(), before);
 }
 
 TEST_F(EngineTest, IndexFootprintReported) {

@@ -8,11 +8,13 @@
 #include <vector>
 
 #include "baseline/eval.h"
+#include "cluster/sharded_engine.h"
 #include "common/rw_gate.h"
 #include "constraints/index.h"
 #include "core/engine.h"
 #include "exec/ivm.h"
 #include "ra/normalize.h"
+#include "serve/query_service.h"
 #include "workload/datasets.h"
 #include "workload/graph_churn.h"
 #include "workload/querygen.h"
@@ -35,6 +37,7 @@ namespace {
 
 using workload::FriendsMayNotJuneCafesQuery;
 using workload::FriendsNycCafesQuery;
+using workload::GraphChurnBatch;
 using workload::GraphChurnConfig;
 using workload::GraphChurnFixture;
 using workload::GraphChurnJuneBatch;
@@ -738,6 +741,190 @@ TEST(IvmGraphChurnDifferentialTest, BuildRefusesOversizedStateAndWrongBag) {
             nullptr);
   EXPECT_FALSE(exceeded);
 }
+
+/// Serving-path differential for the touched-key skip: a QueryService
+/// re-keys a maintained view in place when a batch lands on none of the
+/// view's retained fetch keys, and pushes the batch through the view's
+/// handle otherwise. Batches that miss every view interleave with batches
+/// aimed at one view's keys: a new friend, a deleted dining, a june visit
+/// on the difference's subtrahend, and then that visit's deletion, which
+/// must still fall back. After every batch each view must equal an
+/// uncached engine's answer, and every maintained one must come off the
+/// cache. Runs over one engine, over one whose patch-log budget of 1 keeps
+/// truncating the logs, and over a 2-shard ShardedEngine.
+struct SkipCase {
+  const char* name;
+  size_t shards;               ///< 0: one BoundedEngine.
+  size_t mirror_patch_budget;  ///< 0: the auto budget.
+};
+
+class IvmServiceSkipTest : public ::testing::TestWithParam<SkipCase> {};
+
+TEST_P(IvmServiceSkipTest, SkippedAndTouchedViewsMatchAnUncachedEngine) {
+  const SkipCase& c = GetParam();
+  GraphChurnFixture fx = MakeGraphChurnFixture();
+  Database oracle_db = fx.db;
+  BoundedEngine oracle(&oracle_db, fx.schema, DeterministicOptions(1));
+  ASSERT_TRUE(oracle.BuildIndices().ok());
+  EngineOptions eopts = DeterministicOptions(1);
+  eopts.mirror_patch_budget = c.mirror_patch_budget;
+  std::unique_ptr<Engine> engine;
+  if (c.shards == 0) {
+    auto local = std::make_unique<BoundedEngine>(&fx.db, fx.schema, eopts);
+    ASSERT_TRUE(local->BuildIndices().ok());
+    engine = std::move(local);
+  } else {
+    cluster::ShardedOptions so;
+    so.shards = c.shards;
+    so.engine = eopts;
+    Result<std::unique_ptr<cluster::ShardedEngine>> sharded =
+        cluster::ShardedEngine::Create(fx.db, fx.schema, so);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    engine = std::move(*sharded);
+  }
+  serve::ServiceOptions sopts;
+  sopts.exec_threads = 1;
+  serve::QueryService service(engine.get(), sopts);
+
+  // Views 0-3 join friend, dine and cafe for Pid(0..3); view 4 is the
+  // difference over Pid(0)'s friends (may minus june).
+  std::vector<RaExprPtr> views;
+  for (int i = 0; i < 4; ++i) {
+    views.push_back(FriendsNycCafesQuery(fx.cfg.Pid(i)));
+  }
+  views.push_back(FriendsMayNotJuneCafesQuery(fx.cfg.Pid(0)));
+  constexpr size_t kDiff = 4;
+  std::vector<bool> maintained(views.size(), true);
+  std::vector<std::shared_ptr<const Table>> served(views.size());
+
+  // Serves every view and checks it against the oracle; views still
+  // `maintained` must be refreshed cache hits.
+  auto check = [&](const std::string& ctx, bool from_cache) {
+    for (size_t i = 0; i < views.size(); ++i) {
+      std::string vctx = ctx + " view " + std::to_string(i);
+      serve::QueryResponse r = service.Query(views[i]);
+      ASSERT_TRUE(r.status.ok()) << vctx << ": " << r.status.ToString();
+      ASSERT_NE(r.table, nullptr) << vctx;
+      if (from_cache && maintained[i]) {
+        EXPECT_TRUE(r.result_cache_hit) << vctx;
+        EXPECT_TRUE(r.result_refreshed) << vctx;
+      }
+      Result<ExecuteResult> want = oracle.Execute(views[i]);
+      ASSERT_TRUE(want.ok()) << vctx;
+      ExpectSameBag(*r.table, want->table, vctx);
+      served[i] = r.table;
+    }
+  };
+  // Applies `batch` to both engines and checks how many views the batch
+  // skipped (at least `min_skips`, at most `max_skips`), refreshed (skips
+  // included) and dropped, then checks every view.
+  auto step = [&](const std::vector<Delta>& batch, const std::string& ctx,
+                  uint64_t min_skips, uint64_t max_skips, uint64_t refreshes,
+                  uint64_t fallbacks) {
+    serve::ResultCacheStats before = service.stats().result_cache;
+    serve::DeltaResponse d = service.ApplyDeltas(batch);
+    ASSERT_TRUE(d.status.ok()) << ctx << ": " << d.status.ToString();
+    ASSERT_TRUE(oracle.Apply(batch).ok()) << ctx;
+    serve::ResultCacheStats after = service.stats().result_cache;
+    EXPECT_GE(after.refresh_skips - before.refresh_skips, min_skips) << ctx;
+    EXPECT_LE(after.refresh_skips - before.refresh_skips, max_skips) << ctx;
+    EXPECT_EQ(after.refreshes - before.refreshes, refreshes) << ctx;
+    EXPECT_EQ(after.refresh_fallbacks - before.refresh_fallbacks, fallbacks)
+        << ctx;
+    ASSERT_NO_FATAL_FAILURE(check(ctx, /*from_cache=*/true));
+  };
+  auto S = [](const std::string& s) { return Value::Str(s); };
+  // A new friend of Pid(b) dining at Cid(b): for b >= 4 no view's key.
+  auto miss = [&](int b) { return GraphChurnBatch(fx.cfg, "miss", b); };
+
+  // The first executions cache without handles; the re-executions after
+  // the first batch (which sweeps them) build one per view.
+  for (const RaExprPtr& q : views) ASSERT_TRUE(service.Query(q).status.ok());
+  ASSERT_TRUE(service.ApplyDeltas(miss(10)).status.ok());
+  ASSERT_TRUE(oracle.Apply(miss(10)).ok());
+  ASSERT_NO_FATAL_FAILURE(check("promote", /*from_cache=*/false));
+
+  // Several batches that miss every view: all five are skipped, one of
+  // them a four-friend burst (over budget 1 it forces mirror rebuilds and
+  // truncates the patch logs).
+  step(miss(11), "miss 11", 5, 5, 5, 0);
+  step(miss(12), "miss 12", 5, 5, 5, 0);
+  std::vector<Delta> burst;
+  for (int k = 0; k < 4; ++k) {
+    std::string nf = "burst" + std::to_string(k);
+    burst.push_back(Delta::Insert("friend", {S(fx.cfg.Pid(20)), S(nf)}));
+    burst.push_back(Delta::Insert(
+        "dine", {S(nf), S(fx.cfg.Cid(3 * k)), Value::Int(5),
+                 Value::Int(2015)}));
+  }
+  step(burst, "miss burst", 5, 5, 5, 0);
+
+  // A new friend of Pid(1): only view 1 is refreshed.
+  step(GraphChurnBatch(fx.cfg, "hit", 1), "hit view 1", 4, 4, 5, 0);
+
+  // View 3, skipped by every batch so far, gains a nyc cafe it lacks.
+  std::string free_cid;
+  for (int m = 0; m < fx.cfg.cafes && free_cid.empty(); m += 3) {
+    Value cand = S(fx.cfg.Cid(m));  // m % 3 == 0: a nyc cafe.
+    bool present = false;
+    for (const Tuple& row : served[3]->rows()) present |= row[0] == cand;
+    if (!present) free_cid = fx.cfg.Cid(m);
+  }
+  ASSERT_FALSE(free_cid.empty()) << "every nyc cafe already in view 3";
+  const size_t v3_rows = served[3]->NumRows();
+  step({Delta::Insert("friend", {S(fx.cfg.Pid(3)), S("v3-new")}),
+        Delta::Insert("dine", {S("v3-new"), S(free_cid), Value::Int(5),
+                               Value::Int(2015)})},
+       "grow view 3", 4, 4, 5, 0);
+  EXPECT_EQ(served[3]->NumRows(), v3_rows + 1);
+  // An index-side deletion on a key only view 3 retains: a may dining of
+  // Pid(3)'s first friend, Fid(60), at Cid(60 * 7).
+  step({Delta::Delete("dine", {S(fx.cfg.Fid(60)), S(fx.cfg.Cid(420)),
+                               Value::Int(5), Value::Int(2015)})},
+       "shrink view 3", 4, 4, 5, 0);
+
+  // A june visit of Pid(0)'s friend Fid(0) at Cid(0), which Fid(0) also
+  // visited in may: the difference loses that row. Views 1-3 are
+  // untouched; view 0 may share the (pid, cid) key with the difference.
+  step(GraphChurnJuneBatch(fx.cfg, 0), "june insert", 3, 4, 5, 0);
+  // Deleting it resurrects the row: the difference must fall back.
+  maintained[kDiff] = false;
+  step({Delta::Delete("dine", {S(fx.cfg.Fid(0)), S(fx.cfg.Cid(0)),
+                               Value::Int(6), Value::Int(2015)})},
+       "june delete", 3, 4, 4, 1);
+
+  // Interleaved misses and hits on views 0-3; the difference keeps being
+  // recomputed or rebuilt, so only bounds hold for it.
+  for (int k = 0; k < 8; ++k) {
+    std::string ctx = "round " + std::to_string(k);
+    serve::ResultCacheStats before = service.stats().result_cache;
+    std::vector<Delta> batch =
+        k % 2 == 0 ? miss(13 + k)
+                   : GraphChurnBatch(fx.cfg, "round" + std::to_string(k) + "-",
+                                     k / 2);
+    serve::DeltaResponse d = service.ApplyDeltas(batch);
+    ASSERT_TRUE(d.status.ok()) << ctx;
+    ASSERT_TRUE(oracle.Apply(batch).ok()) << ctx;
+    serve::ResultCacheStats after = service.stats().result_cache;
+    EXPECT_GE(after.refresh_skips - before.refresh_skips, k % 2 == 0 ? 4u : 3u)
+        << ctx;
+    EXPECT_EQ(after.refresh_fallbacks, before.refresh_fallbacks) << ctx;
+    ASSERT_NO_FATAL_FAILURE(check(ctx, /*from_cache=*/true));
+  }
+  if (c.mirror_patch_budget == 1) {
+    // The refreshes really ran off truncated logs.
+    EXPECT_GT(service.stats().result_cache.bucket_refetch_fallbacks, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, IvmServiceSkipTest,
+    ::testing::Values(SkipCase{"local", 0, 0},
+                      SkipCase{"truncated_log", 0, 1},
+                      SkipCase{"two_shards", 2, 0}),
+    [](const ::testing::TestParamInfo<SkipCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace bqe

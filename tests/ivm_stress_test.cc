@@ -87,7 +87,7 @@ TEST(IvmStressTest, RefreshAndFallbackStayCoherentUnderReaderStorm) {
   ServiceOptions sopts;
   sopts.shards = 3;
   sopts.batch_window = 16;
-  // Maintenance handles retain intermediate join bags (~0.5 MiB each for
+  // Maintenance handles retain intermediate join bags (~120 KB each for
   // these 3-relation queries); budget so all five hot entries stay
   // resident.
   sopts.result_cache_bytes = 8u << 20;

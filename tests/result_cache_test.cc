@@ -4,14 +4,22 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "core/engine.h"
+#include "exec/ivm.h"
 #include "storage/table.h"
+#include "workload/graph_churn.h"
 
 namespace bqe {
 namespace {
 
 using serve::ResultCache;
 using serve::ResultCacheStats;
+using workload::FriendsNycCafesQuery;
+using workload::GraphChurnBatch;
+using workload::GraphChurnFixture;
+using workload::MakeGraphChurnFixture;
 
 /// A result-shaped table: `rows` single-string tuples with `payload`-sized
 /// values, so tests can dial entry byte weights via ApproxBytes.
@@ -196,6 +204,122 @@ TEST(ResultCacheTest, ClearDropsEverythingButKeepsCounters) {
   EXPECT_EQ(s.insertions, 2u);
   ResultCache::CachedResult out;
   EXPECT_FALSE(cache.Lookup("q1", now, &out));
+}
+
+/// One real maintained entry: Q1 for Pid(0) over the graph-churn fixture,
+/// cached at the engine's snapshot with the handle its execution built.
+struct MaintainedEntry {
+  GraphChurnFixture fx = MakeGraphChurnFixture();
+  BoundedEngine engine{&fx.db, fx.schema};
+  WriterPriorityGate gate;
+  ResultCache cache{64u << 20};
+  std::shared_ptr<const PreparedQuery> prepared;
+  std::shared_ptr<const Table> table;
+
+  void SetUp() {
+    ASSERT_TRUE(engine.BuildIndices().ok());
+    Result<std::shared_ptr<const PreparedQuery>> pq =
+        engine.PrepareCompiled(FriendsNycCafesQuery(fx.cfg.Pid(0)));
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    prepared = *pq;
+    Result<ExecuteResult> r = engine.ExecutePrepared(*prepared);
+    ASSERT_TRUE(r.ok());
+    table = std::make_shared<const Table>(std::move(r->table));
+    std::unique_ptr<PlanMaintenance> maint;
+    {
+      WriterGateLock wl(&gate);
+      maint = PlanMaintenance::Build(gate, prepared->physical, *table);
+    }
+    ASSERT_NE(maint, nullptr);
+    cache.Insert("q", engine.Coherence(), Cached(table), std::move(maint));
+  }
+
+  /// Applies `batch` and pushes it through the cache as the serving layer
+  /// does, under the exclusive gate.
+  serve::RefreshSummary ApplyAndRefresh(const std::vector<Delta>& batch) {
+    WriterGateLock wl(&gate);
+    CoherenceSnapshot pre = engine.Coherence();
+    EXPECT_TRUE(engine.Apply(batch).ok());
+    return cache.Refresh(gate, batch, pre, engine.Coherence());
+  }
+};
+
+TEST(ResultCacheMaintainedTest, StaleMaintainedEntryMissesAndStaysResident) {
+  MaintainedEntry m;
+  ASSERT_NO_FATAL_FAILURE(m.SetUp());
+  ResultCacheStats before = m.cache.stats();
+  CoherenceSnapshot pre = m.engine.Coherence();
+  std::vector<Delta> batch = GraphChurnBatch(m.fx.cfg, "other", 10);
+  ASSERT_TRUE(m.engine.Apply(batch).ok());
+  CoherenceSnapshot post = m.engine.Coherence();
+  ASSERT_NE(pre, post);
+
+  // A reader that sees the new snapshot before the writer's Refresh misses
+  // but leaves the maintained entry for the writer to settle.
+  ResultCache::CachedResult out;
+  EXPECT_FALSE(m.cache.Lookup("q", post, &out));
+  ResultCacheStats s = m.cache.stats();
+  EXPECT_EQ(s.misses, before.misses + 1);
+  EXPECT_EQ(s.invalidations, 0u);
+  EXPECT_EQ(s.entries, before.entries);
+  EXPECT_EQ(s.bytes, before.bytes);
+
+  // The batch is a new friend of Pid(10): no key the view retains, so the
+  // Refresh re-keys the very same table in place.
+  serve::RefreshSummary sum;
+  {
+    WriterGateLock wl(&m.gate);
+    sum = m.cache.Refresh(m.gate, batch, pre, post);
+  }
+  EXPECT_EQ(sum.refreshed, 1u);
+  EXPECT_EQ(sum.refresh_skips, 1u);
+  EXPECT_EQ(sum.fallbacks, 0u);
+  s = m.cache.stats();
+  EXPECT_EQ(s.refreshes, 1u);
+  EXPECT_EQ(s.refresh_skips, 1u);
+  EXPECT_EQ(s.entries, before.entries);
+  EXPECT_EQ(s.bytes, before.bytes);
+  ASSERT_TRUE(m.cache.Lookup("q", post, &out));
+  EXPECT_EQ(out.table, m.table);
+  EXPECT_TRUE(out.refreshed);
+}
+
+TEST(ResultCacheMaintainedTest, RefreshPatchesOnlyWhenTheBatchHitsAKey) {
+  MaintainedEntry m;
+  ASSERT_NO_FATAL_FAILURE(m.SetUp());
+  // Two batches on other people's keys are skipped ...
+  for (int b : {10, 11}) {
+    serve::RefreshSummary sum =
+        m.ApplyAndRefresh(GraphChurnBatch(m.fx.cfg, "other", b));
+    EXPECT_EQ(sum.refreshed, 1u);
+    EXPECT_EQ(sum.refresh_skips, 1u);
+  }
+  // ... then a new friend of Pid(0) dining at a nyc cafe the view lacks
+  // goes through the handle and grows the table by that row.
+  std::string free_cid;
+  for (int k = 0; k < m.fx.cfg.cafes && free_cid.empty(); k += 3) {
+    bool present = false;
+    for (const Tuple& row : m.table->rows()) {
+      present |= row[0] == Value::Str(m.fx.cfg.Cid(k));
+    }
+    if (!present) free_cid = m.fx.cfg.Cid(k);
+  }
+  ASSERT_FALSE(free_cid.empty());
+  serve::RefreshSummary sum = m.ApplyAndRefresh(
+      {Delta::Insert("friend", {Value::Str(m.fx.cfg.Pid(0)),
+                                Value::Str("new")}),
+       Delta::Insert("dine", {Value::Str("new"), Value::Str(free_cid),
+                              Value::Int(5), Value::Int(2015)})});
+  EXPECT_EQ(sum.refreshed, 1u);
+  EXPECT_EQ(sum.refresh_skips, 0u);
+  ResultCache::CachedResult out;
+  ASSERT_TRUE(m.cache.Lookup("q", m.engine.Coherence(), &out));
+  EXPECT_EQ(out.table->NumRows(), m.table->NumRows() + 1);
+  Result<ExecuteResult> fresh = m.engine.ExecutePrepared(*m.prepared);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(Table::SameSet(*out.table, fresh->table));
+  EXPECT_EQ(m.cache.stats().refresh_skips, 2u);
+  EXPECT_EQ(m.cache.stats().refreshes, 3u);
 }
 
 }  // namespace
